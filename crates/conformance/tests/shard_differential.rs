@@ -17,6 +17,9 @@
 //!   the bounds collapse onto the monolithic optimum.
 //! * **Partition invariance** — a partition with a single cluster is the
 //!   monolithic scheduler, bitwise (same `Schedule` values, slot by slot).
+//! * **Overlapped fallback** — the fallback solves the coordinator's own
+//!   lowering with its guide LP beside presolve and the root LP; schedule
+//!   and stats must equal a fresh guided build and solve, bitwise.
 //!
 //! The teeth test arms the stale-coupling-price fault
 //! ([`birp_core::shard_fault_stale_price`]) — the classic dual-decomposition
@@ -25,9 +28,10 @@
 //! certificate collapses and the refresh≡rebuild cluster check breaks.
 
 use birp_conformance::arb_tiny_instance;
+use birp_core::problem::SolveStats;
 use birp_core::{
     shard_fault_stale_price, Birp, DemandMatrix, ProblemConfig, Scheduler, ShardConfig,
-    ShardCoordinator, TirMatrix,
+    ShardCoordinator, SlotProblem, TirMatrix,
 };
 use birp_mab::MabConfig;
 use birp_models::{AppId, Catalog, EdgeId};
@@ -100,8 +104,84 @@ fn singleton_shards() -> ShardConfig {
     }
 }
 
+/// Bit patterns of every `SolveStats` field, for bitwise comparison.
+type StatsBits = (u64, u64, usize, bool, bool, Vec<(u64, u64, u64)>);
+
+fn stats_bits(s: &SolveStats) -> StatsBits {
+    (
+        s.objective.to_bits(),
+        s.gap.to_bits(),
+        s.nodes,
+        s.optimal,
+        s.degraded,
+        s.incumbents
+            .iter()
+            .map(|&(n, o, g)| (n, o.to_bits(), g.to_bits()))
+            .collect(),
+    )
+}
+
+/// Sharded decide with `gap_tol: 0.0`, so any positive duality gap takes
+/// the fallback; checks it against the serial fallback (a full guided
+/// build, then its solve). Returns whether the fallback ran.
+#[allow(clippy::too_many_arguments)]
+fn fallback_matches_serial(
+    catalog: &Catalog,
+    t: usize,
+    demand: &DemandMatrix,
+    tir: &TirMatrix,
+    prev: Option<&birp_sim::Schedule>,
+    cfg: &ProblemConfig,
+    solver: &SolverConfig,
+    cluster_size: usize,
+) -> Result<bool, String> {
+    let shard_cfg = ShardConfig {
+        cluster_size,
+        max_iters: 3,
+        gap_tol: 0.0,
+        fallback: true,
+    };
+    let mut coord = ShardCoordinator::new(catalog, shard_cfg);
+    let out = coord.decide(catalog, t, demand, tir, prev, cfg, solver);
+    if !out.fallback_used {
+        return Ok(false);
+    }
+    let (schedule, stats) = SlotProblem::build_with_reuse(catalog, t, demand, tir, prev, cfg, None)
+        .solve(solver)
+        .map_err(|e| format!("serial fallback failed: {e:?}"))?;
+    if out.schedule != schedule {
+        return Err("overlapped fallback schedule differs from the serial one".into());
+    }
+    if stats_bits(&out.stats) != stats_bits(&stats) {
+        return Err(format!(
+            "overlapped fallback stats {:?} differ from the serial {:?}",
+            out.stats, stats
+        ));
+    }
+    Ok(true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The overlapped fallback is bitwise the serial one, under every
+    /// solver toggle.
+    #[test]
+    fn overlapped_fallback_is_bitwise_the_serial_fallback(inst in arb_tiny_instance()) {
+        for (name, cfg) in toggle_configs() {
+            let checked = fallback_matches_serial(
+                &inst.catalog,
+                inst.slot(),
+                &inst.demand,
+                &inst.tir,
+                inst.prev.as_ref(),
+                &inst.cfg,
+                &cfg,
+                1,
+            );
+            prop_assert!(checked.is_ok(), "[{}] {}", name, checked.unwrap_err());
+        }
+    }
 
     /// Weak duality and primal feasibility against the monolithic exact
     /// optimum, under every solver toggle.
@@ -249,6 +329,23 @@ fn single_cluster_partition_is_monolithic_bitwise() {
         assert_eq!(a, b, "slot {t} diverged under a single-cluster partition");
         prev_a = Some(a);
         prev_b = Some(b);
+    }
+}
+
+/// The overlapped fallback on a coupled instance that always takes it, at
+/// the scheduling budget (parallel waves, truncated search) and exactly.
+#[test]
+fn overlapped_fallback_matches_serial_on_a_coupled_slot() {
+    let catalog = Catalog::small_scale(42);
+    let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
+    demand.set(AppId(0), EdgeId(0), 40);
+    demand.set(AppId(0), EdgeId(5), 9);
+    let tir = TirMatrix::oracle(&catalog);
+    let cfg = ProblemConfig::default();
+    for solver in [SolverConfig::scheduling(), exact_base()] {
+        let ran = fallback_matches_serial(&catalog, 0, &demand, &tir, None, &cfg, &solver, 2)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert!(ran, "a coupled slot at gap_tol 0 must take the fallback");
     }
 }
 

@@ -1728,6 +1728,35 @@ impl SlotProblem {
     /// usable incumbent, even under the tightest node budgets.
     pub fn solve(&self, solver_cfg: &SolverConfig) -> Result<(Schedule, SolveStats), SolverError> {
         let sol = self.model.solve_warm(solver_cfg, Some(self.warm.clone()))?;
+        Ok(self.decode_with_stats(&sol))
+    }
+
+    /// Solve from the LP-guided warm start a full
+    /// [`build_with_reuse`](Self::build_with_reuse) without a reuse
+    /// candidate would derive, whatever this problem was built with. The
+    /// guide LP and its packing run beside presolve and the root LP
+    /// instead of before them, and the model is not lowered again: a lean
+    /// build ([`build_reuse_lean`](Self::build_reuse_lean)) solved this way
+    /// returns the schedule and stats of `build_with_reuse(.., None)` and
+    /// [`solve`](Self::solve), bitwise.
+    pub fn solve_guided(
+        &self,
+        catalog: &Catalog,
+        solver_cfg: &SolverConfig,
+    ) -> Result<(Schedule, SolveStats), SolverError> {
+        // The guide runs on whichever thread is free; its span hangs off
+        // the caller's, as branch-and-bound wave nodes do.
+        let ctx = telemetry::SpanContext::current();
+        let sol = self.model.solve_warm_with(solver_cfg, |lp| {
+            let _guide_span = ctx.span_at("problem.guide_lp", 0);
+            let root = birp_solver::simplex::solve_bounded(lp);
+            let guide = (root.status == birp_solver::LpStatus::Optimal).then_some(root.x);
+            Some(self.packed_point(catalog, guide.as_ref()))
+        })?;
+        Ok(self.decode_with_stats(&sol))
+    }
+
+    fn decode_with_stats(&self, sol: &Solution) -> (Schedule, SolveStats) {
         let stats = SolveStats {
             objective: sol.objective,
             gap: sol.gap,
@@ -1736,7 +1765,7 @@ impl SlotProblem {
             degraded: sol.degraded,
             incumbents: sol.incumbents.clone(),
         };
-        Ok((self.decode(&sol), stats))
+        (self.decode(sol), stats)
     }
 
     /// Fractional deployment variables of the LP relaxation — the input to

@@ -16,7 +16,10 @@
 //!   per-app imbalance `g_i = Σ_c (exp_c − imp_c)` off the cluster flows,
 //!   and take a Polyak subgradient step `λ += step·g` clamped to
 //!   `[0, drop_penalty]` (exporting can never be priced above the cost of
-//!   simply dropping the request, so higher prices are never active);
+//!   simply dropping the request, so higher prices are never active). The
+//!   loop ends at the gap target, at `max_iters`, or at a price fixed
+//!   point, where a step leaves every price bitwise unchanged and another
+//!   iteration would repeat the same solves;
 //! * primal recovery stitches the cluster points into the monolithic
 //!   variable space; when every `g_i = 0` the stitched point is globally
 //!   feasible as-is (cluster balances sum to the global balance), otherwise
@@ -25,6 +28,10 @@
 //!
 //! `Σ_c bound_c ≤ Σ_c min_c = L(λ) ≤ OPT` holds even when cluster solves
 //! are budget-degraded, so the reported duality gap is a true certificate.
+//! Above the gap target the monolithic fallback solves the coordinator's
+//! own lowering with the guide LP running beside presolve and the root LP
+//! ([`SlotProblem::solve_guided`]).
+//!
 //! Each cluster keeps its own persistent [`SlotProblem`] across price
 //! iterations and slots; a price move is a pure objective-coefficient edit
 //! ([`SlotDelta::CouplingPrice`]), so the per-iteration refresh cost is a
@@ -52,7 +59,10 @@ pub struct ShardConfig {
     /// partition with fewer than two clusters falls through to the
     /// monolithic path bitwise.
     pub cluster_size: usize,
-    /// Dual-price iterations per slot.
+    /// Dual-price iterations per slot, at most. The loop stops earlier at
+    /// `gap_tol`, or at a price fixed point: once a dual step leaves every
+    /// price bitwise where the clusters were last refreshed, further
+    /// iterations would repeat the same solves.
     pub max_iters: usize,
     /// Relative duality-gap target; the dual loop stops early once
     /// `(UB − LB) / max(1, |UB|)` reaches it.
@@ -304,6 +314,8 @@ impl ShardCoordinator {
 
         for it in 0..self.cfg.max_iters.max(1) {
             iterations = it + 1;
+            let iteration_span = telemetry::span("shard.iteration");
+            let iteration_ctx = iteration_span.context();
             let used_prices = if fault_stale {
                 frozen.clone()
             } else {
@@ -314,6 +326,9 @@ impl ShardCoordinator {
                 .par_iter_mut()
                 .enumerate()
                 .map(|(ci, cl)| {
+                    // Item-indexed span: the same id whichever thread runs
+                    // the cluster (the cluster solve's waves nest under it).
+                    let _cluster_span = iteration_ctx.span_at("shard.cluster", ci as u32);
                     let ctx = &ctxs[ci];
                     let sub_cfg = ProblemConfig {
                         mode: cfg.mode,
@@ -426,14 +441,27 @@ impl ShardCoordinator {
                         *price = (*price + step * gi as f64).clamp(0.0, cfg.drop_penalty);
                     }
                 }
+                // Price fixed point (g = 0, or every moved price clamped
+                // back): the next iteration would refresh the clusters to
+                // the prices they already hold and return bitwise the same
+                // bound and candidate, so stop here.
+                let unmoved = self
+                    .prices
+                    .iter()
+                    .zip(&used_prices)
+                    .all(|(p, u)| p.to_bits() == u.to_bits());
+                if unmoved {
+                    break;
+                }
             }
         }
 
         let fallback_used = cluster_failed || (gap > self.cfg.gap_tol && self.cfg.fallback);
         let (schedule, stats) = if fallback_used {
-            let full =
-                SlotProblem::build_with_reuse(catalog, t, demand, tir, prev, &mono_cfg, None);
-            match full.solve(solver_cfg) {
+            // `mono` already holds the monolithic lowering: solve it from
+            // the guided warm start a full build would derive, with the
+            // guide LP beside the search's presolve and root LP.
+            match mono.solve_guided(catalog, solver_cfg) {
                 Ok(pair) => pair,
                 // Defensive: fall back to the repaired primal point, which
                 // is always feasible.
@@ -595,5 +623,54 @@ mod tests {
         assert!(out.upper_bound + 1e-9 >= out.lower_bound || out.fallback_used);
         // Light load on decoupled edges: first stitched point is feasible.
         assert!(out.stitched_feasible + out.repair_used >= 1 || out.fallback_used);
+    }
+
+    #[test]
+    fn decoupled_light_load_stops_at_the_price_fixed_point() {
+        // Every request outweighs every edge's network window: no cluster
+        // can ship or receive, so g = 0 and the first dual step leaves the
+        // prices where the clusters were refreshed.
+        let mut catalog = Catalog::small_scale(42);
+        let max_budget = catalog
+            .edges
+            .iter()
+            .map(|e| e.network_budget_mb)
+            .fold(0.0f64, f64::max);
+        for app in &mut catalog.apps {
+            app.request_mb = max_budget + 1.0;
+        }
+        let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
+        demand.set(AppId(0), EdgeId(0), 4);
+        demand.set(AppId(0), EdgeId(3), 3);
+        let tir = crate::TirMatrix::oracle(&catalog);
+        let cfg = ProblemConfig::default();
+        let shard_cfg = ShardConfig {
+            cluster_size: 2,
+            max_iters: 4,
+            // Unreachable gap target: only the fixed point can stop early.
+            gap_tol: -1.0,
+            fallback: false,
+        };
+        let mut coord = ShardCoordinator::new(&catalog, shard_cfg);
+        let out = coord.decide(
+            &catalog,
+            0,
+            &demand,
+            &tir,
+            None,
+            &cfg,
+            &SolverConfig::scheduling(),
+        );
+        assert_eq!(out.iterations, 1, "decoupled prices cannot move");
+        assert_eq!(out.stitched_feasible, 1);
+        assert_eq!(out.schedule.served() + out.schedule.total_unserved(), 7);
+        assert!(coord.clusters_match_fresh_build(
+            0,
+            &demand,
+            &tir,
+            None,
+            &cfg,
+            catalog.num_models()
+        ));
     }
 }

@@ -308,21 +308,35 @@ fn note_incumbent(
 
 /// Solve the MILP by branch and bound.
 pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
-    let _solve_span = telemetry::span("solver.solve");
-    telemetry::counter("solver.solves", 1);
-    // Effective budgets: the node limit folds into the classic knob, pivots
-    // and the (optional, nondeterministic) deadline are checked at node
-    // boundaries alongside it.
-    let node_limit = cfg
-        .node_limit
-        .min(cfg.budget.max_nodes.unwrap_or(usize::MAX));
-    let budget_clock = cfg
-        .budget
-        .deadline_ms
-        .is_some()
-        .then(std::time::Instant::now);
-    let mut pivots_total = 0u64;
-    let mut budget_hit = false;
+    search(original, cfg, None::<fn() -> Option<Vec<f64>>>)
+}
+
+/// [`branch_and_bound`] with the warm start computed by `warm` instead of
+/// read from [`BnbConfig::warm_start`], which is ignored. Presolve and the
+/// root LP never read the warm start, so `warm` runs beside them under
+/// [`rayon::join`]; the search then validates and installs its point
+/// exactly as it would a precomputed one. The result equals
+/// `branch_and_bound` with `warm_start: warm()`.
+pub fn branch_and_bound_with_warm<W>(original: &MilpProblem, cfg: &BnbConfig, warm: W) -> MilpResult
+where
+    W: FnOnce() -> Option<Vec<f64>> + Send,
+{
+    search(original, cfg, Some(warm))
+}
+
+/// The presolved problem, its root node and the root LP solution with the
+/// engine snapshot the root's children warm-start from.
+type RootSolve = (
+    MilpProblem,
+    Node,
+    crate::lp::LpSolution,
+    Option<Arc<EngineSnapshot>>,
+);
+
+/// Presolve, then solve the root LP relaxation: the front of the search
+/// that does not depend on the warm start. `Err` is the final result when
+/// presolve proves the problem infeasible.
+fn presolve_and_root(original: &MilpProblem, cfg: &BnbConfig) -> Result<RootSolve, MilpResult> {
     // Presolve never removes columns, so indices and solutions line up with
     // the caller's problem; it only tightens bounds and drops rows, which
     // shrinks every node LP.
@@ -347,7 +361,7 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
             );
         }
         if status == crate::presolve::PresolveStatus::Infeasible {
-            return MilpResult {
+            return Err(MilpResult {
                 status: MilpStatus::Infeasible,
                 objective: f64::INFINITY,
                 x: Vec::new(),
@@ -356,17 +370,60 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
                 nodes: 0,
                 degraded: false,
                 incumbents: Vec::new(),
-            };
+            });
         }
     }
-    let problem = &reduced;
-    let n = problem.lp.num_cols();
     let root = Node {
-        lower: problem.lp.lower.clone(),
-        upper: problem.lp.upper.clone(),
+        lower: reduced.lp.lower.clone(),
+        upper: reduced.lp.upper.clone(),
         bound: f64::NEG_INFINITY,
         snap: None,
     };
+    let (root_sol, root_snap) = {
+        let _root_span = telemetry::span("solver.root_lp");
+        solve_node_lp(&reduced.lp, &root, &cfg.simplex, cfg.warm_nodes)
+    };
+    Ok((reduced, root, root_sol, root_snap))
+}
+
+/// The search behind both entry points. `deferred_warm`, when given,
+/// replaces `cfg.warm_start` and runs beside presolve and the root LP.
+fn search<W>(original: &MilpProblem, cfg: &BnbConfig, deferred_warm: Option<W>) -> MilpResult
+where
+    W: FnOnce() -> Option<Vec<f64>> + Send,
+{
+    let _solve_span = telemetry::span("solver.solve");
+    telemetry::counter("solver.solves", 1);
+    // Effective budgets: the node limit folds into the classic knob, pivots
+    // and the (optional, nondeterministic) deadline are checked at node
+    // boundaries alongside it.
+    let node_limit = cfg
+        .node_limit
+        .min(cfg.budget.max_nodes.unwrap_or(usize::MAX));
+    let budget_clock = cfg
+        .budget
+        .deadline_ms
+        .is_some()
+        .then(std::time::Instant::now);
+    let mut pivots_total = 0u64;
+    let mut budget_hit = false;
+    let (front, deferred) = match deferred_warm {
+        Some(warm) => {
+            let (front, ws) = rayon::join(|| presolve_and_root(original, cfg), warm);
+            (front, Some(ws))
+        }
+        None => (presolve_and_root(original, cfg), None),
+    };
+    let (reduced, root, root_sol, root_snap) = match front {
+        Ok(front) => front,
+        Err(result) => return result,
+    };
+    let warm_start = match &deferred {
+        Some(ws) => ws.as_ref(),
+        None => cfg.warm_start.as_ref(),
+    };
+    let problem = &reduced;
+    let n = problem.lp.num_cols();
     // Deterministic snapshot budget: estimated per-snapshot footprint,
     // computed once from the (presolved) problem shape.
     let est_snap_bytes = EngineSnapshot::estimate_bytes(&problem.lp, &cfg.simplex).max(1);
@@ -378,7 +435,7 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     let mut warm_installed = false;
 
     // Install a validated warm start as the initial incumbent.
-    if let Some(ws) = &cfg.warm_start {
+    if let Some(ws) = warm_start {
         let mut installed = false;
         if ws.len() == n {
             let integral = problem
@@ -424,10 +481,6 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     }
 
     // --- root -----------------------------------------------------------
-    let (root_sol, root_snap) = {
-        let _root_span = telemetry::span("solver.root_lp");
-        solve_node_lp(&problem.lp, &root, &cfg.simplex, cfg.warm_nodes)
-    };
     nodes_solved += 1;
     pivots_total += root_sol.iterations as u64;
     telemetry::counter("solver.pivots", root_sol.iterations as u64);

@@ -13,7 +13,10 @@ use std::collections::HashMap;
 use crate::error::SolverError;
 use crate::expr::{LinExpr, VarId, VarKind};
 use crate::lp::{LpProblem, LpSolution, RowCmp};
-use crate::milp::{branch_and_bound, BnbConfig, MilpProblem, MilpStatus, SolveBudget};
+use crate::milp::{
+    branch_and_bound, branch_and_bound_with_warm, BnbConfig, MilpProblem, MilpResult, MilpStatus,
+    SolveBudget,
+};
 use crate::simplex::{solve_bounded, SimplexOptions};
 
 /// Configuration forwarded to branch and bound.
@@ -450,19 +453,47 @@ impl Model {
     ) -> Result<Solution, SolverError> {
         let milp = self.to_milp()?;
         let bnb = BnbConfig {
+            warm_start,
+            ..Self::bnb_config(cfg)
+        };
+        Self::solution(branch_and_bound(&milp, &bnb))
+    }
+
+    /// [`solve_warm`](Self::solve_warm) with the warm start computed by
+    /// `warm` from the lowered LP relaxation (the problem
+    /// [`solve_relaxation`](Self::solve_relaxation) solves). The model is
+    /// lowered once, and `warm` runs beside presolve and the root LP (see
+    /// [`branch_and_bound_with_warm`]); the result equals `solve_warm`
+    /// with the point `warm` returns.
+    pub fn solve_warm_with<W>(&self, cfg: &SolverConfig, warm: W) -> Result<Solution, SolverError>
+    where
+        W: FnOnce(&LpProblem) -> Option<Vec<f64>> + Send,
+    {
+        let milp = self.to_milp()?;
+        let lp = &milp.lp;
+        Self::solution(branch_and_bound_with_warm(
+            &milp,
+            &Self::bnb_config(cfg),
+            || warm(lp),
+        ))
+    }
+
+    fn bnb_config(cfg: &SolverConfig) -> BnbConfig {
+        BnbConfig {
             node_limit: cfg.node_limit,
             rel_gap: cfg.rel_gap,
             parallel: cfg.parallel,
             root_dive: cfg.root_dive,
             trust_warm: cfg.trust_warm,
-            warm_start,
             presolve: cfg.presolve,
             warm_nodes: cfg.warm_nodes,
             simplex: cfg.simplex,
             budget: cfg.budget,
             ..BnbConfig::default()
-        };
-        let res = branch_and_bound(&milp, &bnb);
+        }
+    }
+
+    fn solution(res: MilpResult) -> Result<Solution, SolverError> {
         match res.status {
             MilpStatus::Infeasible => Err(SolverError::Infeasible),
             MilpStatus::Unbounded => Err(SolverError::Unbounded),
