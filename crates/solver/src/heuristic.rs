@@ -58,7 +58,8 @@ fn dive_solve(
 }
 
 /// Attempt to find an integral feasible point inside the box
-/// `[lower, upper]`. Returns `(objective, x)` on success. `seed` may carry
+/// `[lower, upper]` whose objective beats `cutoff` (pass `f64::INFINITY`
+/// for no cutoff). Returns `(objective, x)` on success. `seed` may carry
 /// the engine snapshot of the B&B node the dive starts from, warm-starting
 /// even the first relaxation.
 ///
@@ -77,6 +78,21 @@ fn dive_solve(
 ///
 /// Within each phase the least-fractional variable goes first (its rounding
 /// perturbs the relaxation least).
+///
+/// **One LP per round.** The box a round's fixing solved is the box the
+/// next round starts from, so that solution is carried over instead of
+/// re-solved. Only a skipped variable (both roundings infeasible) restores
+/// the round's own box, and then the next round solves it again.
+///
+/// **Cutoff exit** (DESIGN.md §15). Every box the dive solves lies inside
+/// the box before it (a skip only restores the round's own box), so the
+/// LP value never falls along the chain; snapping an integral LP point
+/// moves its objective by at most `INT_TOL · Σ_{j∈ints} |c_j|`. Once an
+/// optimal LP in the chain reaches `cutoff` plus that snap slack (and a
+/// `1e-6` relative tolerance for LP round-off), every point the dive could
+/// still return has objective `>= cutoff`, so it stops with `None`: for
+/// every `c`, `dive(.., c)` filtered to `obj < c` equals the uncut dive
+/// filtered the same way.
 pub fn dive(
     lp: &LpProblem,
     integers: &[usize],
@@ -84,9 +100,13 @@ pub fn dive(
     upper: &[f64],
     seed: Option<&EngineSnapshot>,
     opts: &SimplexOptions,
+    cutoff: f64,
 ) -> Option<(f64, Vec<f64>)> {
     let mut lo = lower.to_vec();
     let mut hi = upper.to_vec();
+
+    let snap_slack: f64 = integers.iter().map(|&j| lp.objective[j].abs()).sum();
+    let prune_at = cutoff + crate::INT_TOL * snap_slack + 1e-6 * cutoff.abs().max(1.0);
 
     // Binary classification against the *entry* box (fixed variables would
     // otherwise masquerade as binaries).
@@ -107,13 +127,23 @@ pub fn dive(
     let max_rounds = integers.len().min(96) + 8;
     with_engine(|eng| {
         let mut chained = false;
+        // The previous round's solve of the box this round starts from.
+        let mut carried: Option<LpSolution> = None;
         for _ in 0..max_rounds {
-            let sol = dive_solve(eng, lp, &lo, &hi, seed, opts, chained);
-            chained = true;
-            if sol.status != LpStatus::Optimal {
-                if std::env::var("BIRP_DIVE_DEBUG").is_ok() {
-                    eprintln!("dive: LP {:?}", sol.status);
+            let sol = match carried.take() {
+                Some(sol) => sol,
+                None => {
+                    let sol = dive_solve(eng, lp, &lo, &hi, seed, opts, chained);
+                    chained = true;
+                    sol
                 }
+            };
+            if sol.status != LpStatus::Optimal {
+                telemetry::counter("solver.dive_infeasible", 1);
+                return None;
+            }
+            if sol.objective >= prune_at {
+                telemetry::counter("solver.dive_cutoff", 1);
                 return None;
             }
 
@@ -150,16 +180,16 @@ pub fn dive(
                 snap_integers(&mut x, integers);
                 // Snapping can disturb rows; verify before claiming feasibility.
                 if lp.max_violation_with_bounds(&x, &lo, &hi) > 1e-6 {
+                    telemetry::counter("solver.dive_infeasible", 1);
                     return None;
                 }
                 let obj = lp.objective_at(&x);
                 return Some((obj, x));
             }
             let Some((j, v, _)) = target else {
-                if std::env::var("BIRP_DIVE_DEBUG").is_ok() {
-                    eprintln!("dive: only skipped fractionals remain");
-                }
-                return None; // only skipped variables remain fractional
+                // Only skipped variables remain fractional.
+                telemetry::counter("solver.dive_stuck", 1);
+                return None;
             };
 
             // Binaries: ceiling first — a fractional indicator usually guards
@@ -180,6 +210,7 @@ pub fn dive(
             hi[j] = near;
             let near_sol = dive_solve(eng, lp, &lo, &hi, seed, opts, chained);
             if near_sol.status == LpStatus::Optimal {
+                carried = Some(near_sol);
                 continue;
             }
             if far >= old_lo - 1e-12 && far <= old_hi + 1e-12 {
@@ -187,14 +218,13 @@ pub fn dive(
                 hi[j] = far;
                 let far_sol = dive_solve(eng, lp, &lo, &hi, seed, opts, chained);
                 if far_sol.status == LpStatus::Optimal {
+                    carried = Some(far_sol);
                     continue;
                 }
             }
             // Both roundings infeasible: restore the variable and move on.
-            if std::env::var("BIRP_DIVE_DEBUG").is_ok() {
-                eprintln!("dive: var {j} stuck at {v} (skips left {skips_left})");
-            }
             if skips_left == 0 {
+                telemetry::counter("solver.dive_stuck", 1);
                 return None;
             }
             skips_left -= 1;
@@ -202,9 +232,7 @@ pub fn dive(
             hi[j] = old_hi;
             skipped[j] = true;
         }
-        if std::env::var("BIRP_DIVE_DEBUG").is_ok() {
-            eprintln!("dive: max rounds exhausted");
-        }
+        telemetry::counter("solver.dive_exhausted", 1);
         None
     })
 }
@@ -232,6 +260,7 @@ mod tests {
             &lp.upper.clone(),
             None,
             &opts(),
+            f64::INFINITY,
         )
         .unwrap();
         assert!(lp.max_violation(&x) < 1e-6);
@@ -255,6 +284,7 @@ mod tests {
             &lp.upper.clone(),
             None,
             &opts(),
+            f64::INFINITY,
         )
         .unwrap();
         assert!((obj - 2.0).abs() < 1e-6);
@@ -271,7 +301,8 @@ mod tests {
             &lp.lower.clone(),
             &lp.upper.clone(),
             None,
-            &opts()
+            &opts(),
+            f64::INFINITY
         )
         .is_none());
     }
@@ -285,7 +316,7 @@ mod tests {
         lp.push_row(vec![(0, 1.0), (1, 1.0)], RowCmp::Ge, 1.5);
         let lower = vec![1.0, 0.0];
         let upper = vec![1.0, 4.0];
-        let (_, x) = dive(&lp, &[0, 1], &lower, &upper, None, &opts()).unwrap();
+        let (_, x) = dive(&lp, &[0, 1], &lower, &upper, None, &opts(), f64::INFINITY).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-9);
     }
 
@@ -310,6 +341,7 @@ mod tests {
             &lp.upper.clone(),
             Some(&snap),
             &opts(),
+            f64::INFINITY,
         )
         .unwrap();
         assert!(lp.max_violation(&x) < 1e-6);
