@@ -766,6 +766,8 @@ fn cmd_report(rest: &[String]) -> ExitCode {
         }
     };
     let mut counts: std::collections::BTreeMap<String, u64> = Default::default();
+    // Slots per (decide path, root-dive outcome), from `birp.provenance`.
+    let mut paths: std::collections::BTreeMap<(String, String), u64> = Default::default();
     let mut summary: Option<telemetry::TelemetrySummary> = None;
     let mut meta: Option<serde_json::Value> = None;
     let (mut records, mut unparsable) = (0u64, 0u64);
@@ -793,6 +795,12 @@ fn cmd_report(rest: &[String]) -> ExitCode {
         if name == "telemetry.meta" {
             meta = Some(v.clone());
         }
+        if name == "birp.provenance" {
+            let field = |k: &str| v.get(k).and_then(|f| f.as_str()).unwrap_or("-").to_string();
+            *paths
+                .entry((field("path"), field("root_dive")))
+                .or_insert(0) += 1;
+        }
         *counts.entry(name).or_insert(0) += 1;
     }
     println!("{records} event records ({unparsable} unparsable lines)");
@@ -810,6 +818,15 @@ fn cmd_report(rest: &[String]) -> ExitCode {
         println!("\n{:<width$}  {:>8}", "event", "count");
         for (name, n) in &counts {
             println!("{name:<width$}  {n:>8}");
+        }
+    }
+    if !paths.is_empty() {
+        println!(
+            "\n{:<14}  {:<9}  {:>8}",
+            "decide path", "root dive", "slots"
+        );
+        for ((path, dive), n) in &paths {
+            println!("{path:<14}  {dive:<9}  {n:>8}");
         }
     }
     match &summary {

@@ -28,7 +28,7 @@
 //! certificate collapses and the refresh≡rebuild cluster check breaks.
 
 use birp_conformance::arb_tiny_instance;
-use birp_core::problem::SolveStats;
+use birp_core::problem::{RootDiveOutcome, SolveStats};
 use birp_core::{
     shard_fault_stale_price, Birp, DemandMatrix, ProblemConfig, Scheduler, ShardConfig,
     ShardCoordinator, SlotProblem, TirMatrix,
@@ -105,7 +105,15 @@ fn singleton_shards() -> ShardConfig {
 }
 
 /// Bit patterns of every `SolveStats` field, for bitwise comparison.
-type StatsBits = (u64, u64, usize, bool, bool, Vec<(u64, u64, u64)>);
+type StatsBits = (
+    u64,
+    u64,
+    usize,
+    bool,
+    bool,
+    Vec<(u64, u64, u64)>,
+    RootDiveOutcome,
+);
 
 fn stats_bits(s: &SolveStats) -> StatsBits {
     (
@@ -118,6 +126,7 @@ fn stats_bits(s: &SolveStats) -> StatsBits {
             .iter()
             .map(|&(n, o, g)| (n, o.to_bits(), g.to_bits()))
             .collect(),
+        s.root_dive,
     )
 }
 

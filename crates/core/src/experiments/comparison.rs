@@ -147,7 +147,6 @@ impl ComparisonConfig {
             run: RunConfig::default(),
             solver: SolverConfig {
                 node_limit: 16,
-                root_dive: false,
                 ..SolverConfig::scheduling()
             },
             seed,

@@ -26,7 +26,8 @@ use birp_models::catalog::MAX_BATCH;
 use birp_models::{Catalog, EdgeId, ModelId};
 use birp_sim::{Deployment, Schedule};
 use birp_solver::{
-    LinExpr, Model, ModelStatus, RowId, Solution, SolverConfig, SolverError, VarId, VarKind,
+    LinExpr, Model, ModelStatus, RootDive, RowId, Solution, SolverConfig, SolverError, VarId,
+    VarKind,
 };
 use birp_telemetry as telemetry;
 use birp_tir::{linear_coeffs, TirParams};
@@ -154,6 +155,41 @@ pub enum ReuseOutcome {
     RepairFail,
 }
 
+/// What the root dive of a solve did (DESIGN.md §15): the serializable
+/// mirror of [`birp_solver::RootDive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum RootDiveOutcome {
+    /// Not run: switched off, gated, a trusted warm start, an integral root,
+    /// a budget spent on the root LP, or no branch and bound at all.
+    #[default]
+    NotRun,
+    /// Ran and found no point better than its warm start.
+    Missed,
+    /// Ran and its point became the incumbent.
+    Hit,
+}
+
+impl From<RootDive> for RootDiveOutcome {
+    fn from(d: RootDive) -> Self {
+        match d {
+            RootDive::NotRun => RootDiveOutcome::NotRun,
+            RootDive::Missed => RootDiveOutcome::Missed,
+            RootDive::Hit => RootDiveOutcome::Hit,
+        }
+    }
+}
+
+impl RootDiveOutcome {
+    /// The label the `birp.provenance` record carries.
+    pub fn label(self) -> &'static str {
+        match self {
+            RootDiveOutcome::NotRun => "not_run",
+            RootDiveOutcome::Missed => "missed",
+            RootDiveOutcome::Hit => "hit",
+        }
+    }
+}
+
 /// Solve statistics surfaced to experiment logs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolveStats {
@@ -171,6 +207,9 @@ pub struct SolveStats {
     /// bound (cache hits carry a single synthetic point).
     #[serde(default)]
     pub incumbents: Vec<(u64, f64, f64)>,
+    /// Outcome of the solve's root dive.
+    #[serde(default)]
+    pub root_dive: RootDiveOutcome,
 }
 
 /// Everything that varies slot-to-slot and enters the lowered model: the
@@ -1674,6 +1713,7 @@ impl SlotProblem {
             nodes: 0,
             degraded: false,
             incumbents: vec![(0, obj, gap)],
+            root_dive: RootDive::NotRun,
         };
         let stats = SolveStats {
             objective: obj,
@@ -1682,6 +1722,7 @@ impl SlotProblem {
             optimal: true,
             degraded: false,
             incumbents: vec![(0, obj, gap)],
+            root_dive: RootDiveOutcome::NotRun,
         };
         Some((self.decode(&sol), stats))
     }
@@ -1711,6 +1752,7 @@ impl SlotProblem {
             nodes: 0,
             degraded: false,
             incumbents: vec![(0, obj, gap)],
+            root_dive: RootDive::NotRun,
         };
         let stats = SolveStats {
             objective: obj,
@@ -1719,6 +1761,7 @@ impl SlotProblem {
             optimal: false,
             degraded: false,
             incumbents: vec![(0, obj, gap)],
+            root_dive: RootDiveOutcome::NotRun,
         };
         (self.decode(&sol), stats)
     }
@@ -1764,6 +1807,7 @@ impl SlotProblem {
             optimal: sol.status == ModelStatus::Optimal,
             degraded: sol.degraded,
             incumbents: sol.incumbents.clone(),
+            root_dive: sol.root_dive.into(),
         };
         (self.decode(sol), stats)
     }
@@ -1818,6 +1862,7 @@ impl SlotProblem {
             optimal: sol.status == ModelStatus::Optimal,
             degraded: sol.degraded,
             incumbents: sol.incumbents.clone(),
+            root_dive: sol.root_dive.into(),
         };
         Ok((self.decode(&sol), stats))
     }

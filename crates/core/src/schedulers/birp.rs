@@ -24,12 +24,20 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::demand::DemandMatrix;
 use crate::problem::{
-    DeltaOutcome, ExecutionMode, ProblemConfig, RebuildReason, ReuseOutcome, SlotInputs,
-    SlotProblem, SolveStats, TirMatrix,
+    DeltaOutcome, ExecutionMode, ProblemConfig, RebuildReason, ReuseOutcome, RootDiveOutcome,
+    SlotInputs, SlotProblem, SolveStats, TirMatrix,
 };
 use crate::schedulers::local::greedy_local;
 use crate::schedulers::sharded::{edge_clusters, ShardConfig, ShardCoordinator};
 use crate::schedulers::Scheduler;
+
+/// Root-dive gate (DESIGN.md §15): after this many consecutive full solves
+/// that ended degraded after a root dive that missed, full solves stop
+/// running the root dive.
+const DIVE_MISS_LIMIT: usize = 8;
+/// While the root-dive gate is closed, the full solve this many after the
+/// last root dive runs it again as a probe.
+const DIVE_PROBE_EVERY: usize = 16;
 
 /// Cross-slot temporal reuse knobs (DESIGN.md §11).
 ///
@@ -173,6 +181,12 @@ struct BirpState {
     /// checkpoints readable.
     #[serde(default)]
     shard_prices: Option<Vec<u64>>,
+    /// Root-dive gate counters (DESIGN.md §15). `default` keeps earlier
+    /// checkpoints readable, with the gate open.
+    #[serde(default)]
+    dive_misses: usize,
+    #[serde(default)]
+    solves_since_dive: usize,
 }
 
 /// Canonical digest of a schedule for [`SlotKey::prev`]: deployments,
@@ -226,15 +240,18 @@ fn lp_counter_snapshot() -> (u64, u64) {
 /// `birp.provenance` event per decide, tagged with the path that produced
 /// the schedule (`skip` | `repair` | `cache_hit` | `full_solve` |
 /// `fallback`) plus the evidence behind it — objective/gap/node counts,
-/// warm/cold LP deltas since decide entry, the quarantine mask in force and
-/// the incumbent trajectory. The path tag is mirrored into a `reuse.<path>`
-/// counter so aggregate reports cross-check against the per-slot records.
+/// warm/cold LP deltas since decide entry, the quarantine mask in force,
+/// the incumbent trajectory and what the root dive did (`not_run` |
+/// `missed` | `hit`, or `gated` when the dive gate switched it off). The
+/// path tag is mirrored into a `reuse.<path>` counter so aggregate reports
+/// cross-check against the per-slot records.
 fn emit_provenance(
     t: usize,
     path: &'static str,
     stats: Option<&SolveStats>,
     mask: Option<&[bool]>,
     lp0: (u64, u64),
+    dive_gated: bool,
 ) {
     if !telemetry::enabled() {
         return;
@@ -247,6 +264,13 @@ fn emit_provenance(
         .unwrap_or(0)
         .saturating_sub(lp0.1);
     let masked = mask.map_or(0, |m| m.iter().filter(|&&q| q).count()) as u64;
+    let root_dive = if dive_gated {
+        "gated"
+    } else {
+        stats
+            .map_or(RootDiveOutcome::NotRun, |s| s.root_dive)
+            .label()
+    };
     let num = |v: Option<f64>| v.map_or(telemetry::Value::Null, telemetry::Value::Float);
     let incumbents = telemetry::Value::Array(
         stats
@@ -280,6 +304,7 @@ fn emit_provenance(
             ("lp_cold", telemetry::Value::UInt(lp_cold)),
             ("masked_edges", telemetry::Value::UInt(masked)),
             ("incumbents", incumbents),
+            ("root_dive", root_dive.into()),
         ],
     );
 }
@@ -363,6 +388,11 @@ pub struct Birp {
     /// (budget-truncated) incumbents — the only regime in which the
     /// heuristic-regime skip is allowed to fire.
     heuristic_regime: bool,
+    /// Root-dive gate (DESIGN.md §15): consecutive full solves that ended
+    /// degraded after a root dive that missed.
+    dive_misses: usize,
+    /// Root-dive gate: full solves since the last one that ran the root dive.
+    solves_since_dive: usize,
     /// The persistent slot model (DESIGN.md §13): lowered once, then
     /// refreshed in place with typed deltas each slot while
     /// [`TemporalReuse::deltas`] is on. `None` until the first decide, and
@@ -403,6 +433,8 @@ impl Birp {
             cache: Vec::new(),
             skip_streak: 0,
             heuristic_regime: false,
+            dive_misses: 0,
+            solves_since_dive: 0,
             slot_model: None,
             restored_inputs: None,
             shard: None,
@@ -541,6 +573,30 @@ impl Birp {
         (problem, DeltaOutcome::Rebuilt(reason))
     }
 
+    /// Whether the root-dive gate switches the dive off for the next full
+    /// solve: closed after [`DIVE_MISS_LIMIT`] consecutive degraded misses,
+    /// except on every [`DIVE_PROBE_EVERY`]th full solve since the last
+    /// dive, which probes.
+    fn dive_gate_closed(&self) -> bool {
+        self.dive_misses >= DIVE_MISS_LIMIT && self.solves_since_dive + 1 < DIVE_PROBE_EVERY
+    }
+
+    /// Fold one full solve's root-dive outcome into the gate: a dive resets
+    /// the probe count; a hit or an undegraded solve reopens the gate; a
+    /// degraded miss counts toward closing it.
+    fn record_dive(&mut self, stats: &SolveStats) {
+        if stats.root_dive == RootDiveOutcome::NotRun {
+            self.solves_since_dive += 1;
+        } else {
+            self.solves_since_dive = 0;
+        }
+        if stats.root_dive == RootDiveOutcome::Hit || !stats.degraded {
+            self.dive_misses = 0;
+        } else if stats.root_dive == RootDiveOutcome::Missed {
+            self.dive_misses += 1;
+        }
+    }
+
     /// Sharded decide path: delegate the slot to the dual-price
     /// coordinator. The reuse/cache/skip machinery is bypassed — cluster
     /// models already persist (and delta-refresh) inside the coordinator,
@@ -569,7 +625,7 @@ impl Birp {
         } else {
             "shard"
         };
-        emit_provenance(t, path, Some(&out.stats), self.mask.as_deref(), lp0);
+        emit_provenance(t, path, Some(&out.stats), self.mask.as_deref(), lp0, false);
         self.last_stats = Some(out.stats);
         out.schedule
     }
@@ -630,7 +686,7 @@ impl Birp {
                     ],
                 );
             }
-            emit_provenance(t, "skip", Some(&stats), self.mask.as_deref(), lp0);
+            emit_provenance(t, "skip", Some(&stats), self.mask.as_deref(), lp0, false);
             self.last_stats = Some(stats);
             self.slot_model = Some(problem);
             return schedule;
@@ -669,7 +725,7 @@ impl Birp {
                         ],
                     );
                 }
-                emit_provenance(t, "repair", Some(&stats), self.mask.as_deref(), lp0);
+                emit_provenance(t, "repair", Some(&stats), self.mask.as_deref(), lp0, false);
                 self.last_stats = Some(stats);
                 self.slot_model = Some(problem);
                 return schedule;
@@ -713,8 +769,16 @@ impl Birp {
                             optimal: true,
                             degraded: false,
                             incumbents: vec![(0, objective, gap)],
+                            root_dive: RootDiveOutcome::NotRun,
                         };
-                        emit_provenance(t, "cache_hit", Some(&stats), self.mask.as_deref(), lp0);
+                        emit_provenance(
+                            t,
+                            "cache_hit",
+                            Some(&stats),
+                            self.mask.as_deref(),
+                            lp0,
+                            false,
+                        );
                         self.last_stats = Some(stats);
                         let mut schedule = entry.schedule.clone();
                         schedule.t = t;
@@ -737,6 +801,14 @@ impl Birp {
         if matches!(problem.reuse_outcome(), Some(ReuseOutcome::Installed)) {
             solver_cfg.trust_warm = true;
         }
+        // Root-dive gate (DESIGN.md §15): while the dive keeps missing on
+        // budget-truncated solves, it only costs time, so switch it off
+        // and probe it every few full solves instead.
+        let dive_gated = solver_cfg.root_dive && !solver_cfg.trust_warm && self.dive_gate_closed();
+        if dive_gated {
+            solver_cfg.root_dive = false;
+            telemetry::counter("birp.dive_gated", 1);
+        }
         match problem.solve(&solver_cfg) {
             Ok((schedule, stats)) => {
                 if telemetry::enabled() {
@@ -752,7 +824,15 @@ impl Birp {
                         ],
                     );
                 }
-                emit_provenance(t, "full_solve", Some(&stats), self.mask.as_deref(), lp0);
+                emit_provenance(
+                    t,
+                    "full_solve",
+                    Some(&stats),
+                    self.mask.as_deref(),
+                    lp0,
+                    dive_gated,
+                );
+                self.record_dive(&stats);
                 self.skip_streak = 0;
                 self.heuristic_regime = stats.degraded;
                 if let Some(key) = key {
@@ -791,7 +871,7 @@ impl Birp {
                         ],
                     );
                 }
-                emit_provenance(t, "fallback", None, self.mask.as_deref(), lp0);
+                emit_provenance(t, "fallback", None, self.mask.as_deref(), lp0, dive_gated);
                 self.last_stats = None;
                 self.slot_model = Some(problem);
                 greedy_local(
@@ -906,6 +986,8 @@ impl Scheduler for Birp {
                 .shard
                 .as_ref()
                 .map(|c| c.prices().iter().map(|p| p.to_bits()).collect()),
+            dive_misses: self.dive_misses,
+            solves_since_dive: self.solves_since_dive,
         })
     }
 
@@ -926,6 +1008,8 @@ impl Scheduler for Birp {
         self.mask = s.mask;
         self.skip_streak = s.skip_streak;
         self.heuristic_regime = s.heuristic_regime;
+        self.dive_misses = s.dive_misses;
+        self.solves_since_dive = s.solves_since_dive;
         self.cache = s.cache;
         self.slot_model = None;
         self.restored_inputs = s.slot_inputs;
@@ -1081,6 +1165,170 @@ mod tests {
             "BIRP-MEAN"
         );
         assert_eq!(BirpOff::new(catalog).name(), "BIRP-OFF");
+    }
+
+    fn full_solve(root_dive: RootDiveOutcome, degraded: bool) -> SolveStats {
+        SolveStats {
+            objective: 1.0,
+            gap: if degraded { 0.1 } else { 0.0 },
+            nodes: 16,
+            optimal: !degraded,
+            degraded,
+            incumbents: Vec::new(),
+            root_dive,
+        }
+    }
+
+    fn gate_test_birp() -> Birp {
+        Birp::new(Catalog::small_scale(42), MabConfig::paper_preset())
+    }
+
+    /// Run the gate through one full solve the way `decide` does: a gated
+    /// solve runs no dive, so its outcome is `NotRun`.
+    fn step(b: &mut Birp, dive: RootDiveOutcome, degraded: bool) -> bool {
+        let gated = b.dive_gate_closed();
+        let dive = if gated { RootDiveOutcome::NotRun } else { dive };
+        b.record_dive(&full_solve(dive, degraded));
+        gated
+    }
+
+    #[test]
+    fn dive_gate_closes_after_exactly_eight_degraded_misses() {
+        let mut b = gate_test_birp();
+        for i in 0..DIVE_MISS_LIMIT {
+            assert!(!step(&mut b, RootDiveOutcome::Missed, true), "miss {i}");
+        }
+        assert!(
+            b.dive_gate_closed(),
+            "closed after {DIVE_MISS_LIMIT} misses"
+        );
+        // Solves whose dive did not run (a trusted warm start) neither
+        // count toward the limit nor reset it.
+        let mut b = gate_test_birp();
+        for _ in 0..DIVE_MISS_LIMIT - 1 {
+            step(&mut b, RootDiveOutcome::Missed, true);
+            step(&mut b, RootDiveOutcome::NotRun, true);
+        }
+        assert!(!b.dive_gate_closed());
+        step(&mut b, RootDiveOutcome::Missed, true);
+        assert!(b.dive_gate_closed());
+    }
+
+    #[test]
+    fn dive_gate_probes_on_the_sixteenth_full_solve() {
+        let mut b = gate_test_birp();
+        for _ in 0..DIVE_MISS_LIMIT {
+            step(&mut b, RootDiveOutcome::Missed, true);
+        }
+        for round in 0..3 {
+            for i in 1..DIVE_PROBE_EVERY {
+                assert!(
+                    step(&mut b, RootDiveOutcome::Missed, true),
+                    "round {round}: full solve {i} after the last dive is gated"
+                );
+            }
+            assert!(
+                !step(&mut b, RootDiveOutcome::Missed, true),
+                "round {round}: full solve {DIVE_PROBE_EVERY} probes"
+            );
+        }
+        // A probe that cannot dive (trusted warm start) leaves the probe due.
+        for _ in 1..DIVE_PROBE_EVERY {
+            step(&mut b, RootDiveOutcome::Missed, true);
+        }
+        assert!(!step(&mut b, RootDiveOutcome::NotRun, true));
+        assert!(!step(&mut b, RootDiveOutcome::Missed, true));
+        assert!(b.dive_gate_closed());
+    }
+
+    #[test]
+    fn dive_gate_reopens_on_a_hit_or_an_undegraded_solve() {
+        let close = |b: &mut Birp| {
+            for _ in 0..DIVE_MISS_LIMIT {
+                step(b, RootDiveOutcome::Missed, true);
+            }
+            assert!(b.dive_gate_closed());
+        };
+        // A probe that hits.
+        let mut b = gate_test_birp();
+        close(&mut b);
+        for _ in 1..DIVE_PROBE_EVERY {
+            step(&mut b, RootDiveOutcome::Missed, true);
+        }
+        assert!(!step(&mut b, RootDiveOutcome::Hit, true));
+        assert!(!b.dive_gate_closed());
+        // A gated solve that finishes undegraded.
+        let mut b = gate_test_birp();
+        close(&mut b);
+        assert!(step(&mut b, RootDiveOutcome::Missed, false));
+        assert!(!b.dive_gate_closed());
+        // A probe that misses but finishes undegraded.
+        let mut b = gate_test_birp();
+        close(&mut b);
+        for _ in 1..DIVE_PROBE_EVERY {
+            step(&mut b, RootDiveOutcome::Missed, true);
+        }
+        assert!(!step(&mut b, RootDiveOutcome::Missed, false));
+        assert!(!b.dive_gate_closed());
+    }
+
+    /// Whatever the first eight full solves report, none of them is gated:
+    /// goldens and differential suites of eight slots or fewer cannot see
+    /// the gate.
+    #[test]
+    fn dive_gate_never_closes_within_eight_full_solves() {
+        const OUTCOMES: [(RootDiveOutcome, bool); 6] = [
+            (RootDiveOutcome::NotRun, false),
+            (RootDiveOutcome::NotRun, true),
+            (RootDiveOutcome::Missed, false),
+            (RootDiveOutcome::Missed, true),
+            (RootDiveOutcome::Hit, false),
+            (RootDiveOutcome::Hit, true),
+        ];
+        let n = OUTCOMES.len();
+        let mut b = gate_test_birp();
+        for mut code in 0..n.pow(DIVE_MISS_LIMIT as u32) {
+            b.dive_misses = 0;
+            b.solves_since_dive = 0;
+            for i in 0..DIVE_MISS_LIMIT {
+                let (dive, degraded) = OUTCOMES[code % n];
+                code /= n;
+                assert!(!step(&mut b, dive, degraded), "full solve {i} was gated");
+            }
+        }
+    }
+
+    /// A checkpoint taken before the gate existed imports with the gate
+    /// open; one taken with the gate closed restores it closed.
+    #[test]
+    fn dive_gate_state_round_trips_and_defaults_open() {
+        let mut b = gate_test_birp();
+        for _ in 0..DIVE_MISS_LIMIT + 3 {
+            step(&mut b, RootDiveOutcome::Missed, true);
+        }
+        assert!(b.dive_gate_closed());
+        let state = b.export_state();
+
+        let mut restored = gate_test_birp();
+        restored.import_state(&state).unwrap();
+        assert_eq!(restored.dive_misses, b.dive_misses);
+        assert_eq!(restored.solves_since_dive, b.solves_since_dive);
+        assert!(restored.dive_gate_closed());
+
+        let Value::Object(fields) = state else {
+            panic!("BirpState exports an object");
+        };
+        let legacy = Value::Object(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "dive_misses" && k != "solves_since_dive")
+                .collect(),
+        );
+        let mut restored = gate_test_birp();
+        restored.dive_misses = DIVE_MISS_LIMIT;
+        restored.import_state(&legacy).unwrap();
+        assert_eq!((restored.dive_misses, restored.solves_since_dive), (0, 0));
+        assert!(!restored.dive_gate_closed());
     }
 
     #[test]

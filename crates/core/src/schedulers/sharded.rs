@@ -42,12 +42,14 @@ use std::ops::Range;
 
 use birp_models::{AppId, Catalog, EdgeId, ModelId};
 use birp_sim::Schedule;
-use birp_solver::{ModelStatus, Solution, SolverConfig};
+use birp_solver::{ModelStatus, RootDive, Solution, SolverConfig};
 use birp_telemetry as telemetry;
 use rayon::prelude::*;
 
 use crate::demand::DemandMatrix;
-use crate::problem::{ProblemConfig, ShardCoupling, SlotProblem, SolveStats, TirMatrix};
+use crate::problem::{
+    ProblemConfig, RootDiveOutcome, ShardCoupling, SlotProblem, SolveStats, TirMatrix,
+};
 
 #[allow(unused_imports)]
 use crate::problem::SlotDelta; // doc links
@@ -514,6 +516,7 @@ impl ShardCoordinator {
             nodes,
             degraded,
             incumbents: vec![(nodes as u64, ub, gap)],
+            root_dive: RootDive::NotRun,
         };
         let schedule = mono.decode(&sol);
         let stats = SolveStats {
@@ -523,6 +526,7 @@ impl ShardCoordinator {
             optimal: !degraded,
             degraded,
             incumbents: sol.incumbents.clone(),
+            root_dive: RootDiveOutcome::NotRun,
         };
         (schedule, stats)
     }

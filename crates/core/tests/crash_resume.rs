@@ -22,6 +22,7 @@ use birp_core::{
 use birp_mab::MabConfig;
 use birp_models::{Catalog, EdgeId};
 use birp_sim::{FaultPlan, Schedule, SimConfig, SlotOutcome};
+use birp_solver::SolverConfig;
 use birp_workload::{Trace, TraceConfig};
 use serde::{DeError, Serialize, Value};
 
@@ -143,16 +144,15 @@ fn result_json(r: &RunResult) -> String {
     serde_json::to_string(&Serialize::to_value(r)).unwrap()
 }
 
-/// Kill at `kill_at`, resume from the written checkpoint on a freshly built
-/// scheduler, and return the resumed run's final result.
-fn killed_and_resumed(
+/// Kill at `kill_at` and return the checkpoint the interrupted run wrote.
+fn killed(
     catalog: &Catalog,
     trace: &Trace,
     cfg: &RunConfig,
     mk: &dyn Fn(&Catalog) -> Box<dyn Scheduler>,
     kill_at: usize,
     tag: &str,
-) -> RunResult {
+) -> RunnerCheckpoint {
     let path = tmp_ckpt(tag);
     let flag = Arc::new(AtomicBool::new(false));
     let mut killed = KillAt {
@@ -182,18 +182,24 @@ fn killed_and_resumed(
 
     let ck = checkpoint::load(&path).unwrap();
     assert_eq!(ck.runner.next_slot, kill_at + 1);
-    let mut fresh = mk(catalog);
-    let resumed = run_scheduler_resumable(
-        catalog,
-        trace,
-        fresh.as_mut(),
-        cfg,
-        None,
-        Some(ck.runner),
-        None,
-    )
-    .unwrap();
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    ck.runner
+}
+
+/// Kill at `kill_at`, resume from the written checkpoint on a freshly built
+/// scheduler, and return the resumed run's final result.
+fn killed_and_resumed(
+    catalog: &Catalog,
+    trace: &Trace,
+    cfg: &RunConfig,
+    mk: &dyn Fn(&Catalog) -> Box<dyn Scheduler>,
+    kill_at: usize,
+    tag: &str,
+) -> RunResult {
+    let ck = killed(catalog, trace, cfg, mk, kill_at, tag);
+    let mut fresh = mk(catalog);
+    let resumed =
+        run_scheduler_resumable(catalog, trace, fresh.as_mut(), cfg, None, Some(ck), None).unwrap();
     match resumed {
         RunOutcome::Complete(r) => *r,
         RunOutcome::Interrupted { .. } => panic!("resumed run interrupted again"),
@@ -502,4 +508,56 @@ fn periodic_checkpoint_resumes_exactly() {
     };
     assert_eq!(result_json(&baseline), result_json(&r));
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// Root-dive gate (DESIGN.md §15) across a kill. On the large catalog the
+/// root dive misses on every budget-truncated solve, so the gate closes
+/// after eight full solves and then only probes. A checkpoint taken while
+/// it is closed must restore it closed, or the resumed run would dive where
+/// the uninterrupted one did not.
+#[test]
+fn kill_resume_with_the_dive_gate_closed_is_bitwise_equivalent() {
+    const KILL_AT: usize = 40;
+    let catalog = Catalog::large_scale(42);
+    let trace = TraceConfig {
+        num_slots: 48,
+        ..TraceConfig::large_scale(42)
+    }
+    .generate();
+    // `birp run --scale large`: the scheduling preset, 16 nodes, dive on.
+    let solver = SolverConfig {
+        node_limit: 16,
+        ..SolverConfig::scheduling()
+    };
+    let mk = |c: &Catalog| -> Box<dyn Scheduler> {
+        Box::new(Birp::new(c.clone(), MabConfig::paper_preset()).with_solver(solver.clone()))
+    };
+    let cfg = RunConfig::default();
+    let mut whole = mk(&catalog);
+    let expected = result_json(&run_scheduler(&catalog, &trace, whole.as_mut(), &cfg));
+
+    let ck = killed(&catalog, &trace, &cfg, &mk, KILL_AT, "dive-gate");
+    let gate = |key: &str| {
+        ck.scheduler_state
+            .get(key)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("checkpoint lacks {key}"))
+    };
+    let (misses, since) = (gate("dive_misses"), gate("solves_since_dive"));
+    assert!(
+        misses >= 8 && since + 1 < 16,
+        "gate open at the kill: {misses} misses, {since} solves since the last dive"
+    );
+    let mut fresh = mk(&catalog);
+    let outcome =
+        run_scheduler_resumable(&catalog, &trace, fresh.as_mut(), &cfg, None, Some(ck), None)
+            .unwrap();
+    let RunOutcome::Complete(result) = outcome else {
+        panic!("resumed run interrupted again");
+    };
+    assert_eq!(expected, result_json(&result));
+    // The dive never hits here, so a gate reset by the resume would leave
+    // the decisions alone; the gate counters at the end would differ.
+    let state = |s: &dyn Scheduler| serde_json::to_string(&s.export_state()).unwrap();
+    assert_eq!(state(whole.as_ref()), state(fresh.as_ref()));
 }

@@ -51,7 +51,7 @@ pub use error::SolverError;
 pub use expr::{LinExpr, VarId, VarKind};
 pub use lp::{LpProblem, LpSolution, LpStatus};
 pub use lpwrite::to_lp_format;
-pub use milp::{MilpProblem, MilpResult, MilpStatus, SolveBudget};
+pub use milp::{MilpProblem, MilpResult, MilpStatus, RootDive, SolveBudget};
 pub use model::{Model, ModelStatus, RowId, Solution, SolverConfig};
 pub use presolve::{presolve, PresolveStatus, Reduction};
 pub use simplex::{EngineSnapshot, SimplexEngine, SimplexOptions};

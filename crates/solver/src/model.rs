@@ -15,7 +15,7 @@ use crate::expr::{LinExpr, VarId, VarKind};
 use crate::lp::{LpProblem, LpSolution, RowCmp};
 use crate::milp::{
     branch_and_bound, branch_and_bound_with_warm, BnbConfig, MilpProblem, MilpResult, MilpStatus,
-    SolveBudget,
+    RootDive, SolveBudget,
 };
 use crate::simplex::{solve_bounded, SimplexOptions};
 
@@ -108,6 +108,8 @@ pub struct Solution {
     /// Incumbent trajectory `(nodes_solved, objective, gap)` in install
     /// order (see [`crate::milp::MilpResult::incumbents`]).
     pub incumbents: Vec<(u64, f64, f64)>,
+    /// Outcome of the root dive.
+    pub root_dive: RootDive,
 }
 
 impl Solution {
@@ -513,6 +515,7 @@ impl Model {
                 nodes: res.nodes,
                 degraded: res.degraded,
                 incumbents: res.incumbents,
+                root_dive: res.root_dive,
             }),
         }
     }

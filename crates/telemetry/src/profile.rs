@@ -227,6 +227,7 @@ pub fn provenance_table(provenance: &[Value]) -> String {
         ("lp_cold", "lp_cold"),
         ("masked_edges", "masked"),
         ("degraded", "degraded"),
+        ("root_dive", "dive"),
     ];
     let mut rows: Vec<Vec<String>> = Vec::with_capacity(provenance.len());
     for p in provenance {
@@ -302,7 +303,8 @@ mod tests {
         lines.push(
             "{\"t_ms\":11.5,\"level\":\"info\",\"name\":\"birp.provenance\",\"slot\":0,\
              \"path\":\"full_solve\",\"objective\":12.5,\"gap\":0.0,\"nodes\":4,\
-             \"lp_warm\":3,\"lp_cold\":1,\"masked_edges\":0,\"degraded\":false}"
+             \"lp_warm\":3,\"lp_cold\":1,\"masked_edges\":0,\"degraded\":false,\
+             \"root_dive\":\"gated\"}"
                 .to_string(),
         );
         lines.push("not json".to_string());
@@ -357,6 +359,8 @@ mod tests {
         let table = provenance_table(&cap.provenance);
         assert!(table.contains("full_solve"));
         assert!(table.contains("objective"));
+        assert!(table.contains("dive"));
+        assert!(table.contains("gated"));
         let meta = render_meta(cap.meta.as_ref().unwrap());
         assert!(meta.contains("schema_version"));
         assert!(meta.contains("birp run"));
