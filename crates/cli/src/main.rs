@@ -199,8 +199,8 @@ ROBUSTNESS (run / compare):
     --faults <plan.json>       inject a serialized FaultPlan into the executor
     --resilience on|off        failure detector + quarantine-and-reroute (default: off)
     --no-reuse                 disable cross-slot temporal reuse (warm-start install,
-                               schedule cache, and the incremental delta path — every
-                               slot rebuilds its model from scratch) in the MILP
+                               heuristic-regime skip, and the incremental delta path —
+                               every slot rebuilds its model from scratch) in the MILP
                                schedulers
     --dense-simplex            force the dense tableau simplex core instead of the
                                sparse revised core (A/B validation and triage)

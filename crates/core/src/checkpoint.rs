@@ -4,9 +4,9 @@
 //! needs to resume a run mid-trace with bitwise-identical remaining output:
 //! the next slot index, carry-over queues, the previous executed schedule,
 //! metric accumulators, the health monitor's FSM, and the scheduler's own
-//! exported state (MAB posteriors, schedule cache, RNG position, and the
-//! persistent slot model's input fingerprint — the lowered model itself is
-//! recomputed on resume, see DESIGN.md §13). The
+//! exported state (MAB posteriors, skip and dive-gate counters, RNG
+//! position, and the persistent slot model's input fingerprint — the
+//! lowered model itself is recomputed on resume, see DESIGN.md §13). The
 //! embedder (the CLI) additionally stores an opaque *spec* — the invocation
 //! parameters needed to rebuild the catalog, trace and scheduler — so
 //! `birp resume <path>` is self-contained.

@@ -203,8 +203,8 @@ pub struct SolveStats {
     pub degraded: bool,
     /// Incumbent trajectory `(nodes_solved, objective, gap)` in install
     /// order — the convergence signature surfaced by the per-slot decision
-    /// provenance record. Empty for schedules that bypassed branch and
-    /// bound (cache hits carry a single synthetic point).
+    /// provenance record. A schedule served without branch and bound (the
+    /// heuristic-regime skip) carries a single synthetic point.
     #[serde(default)]
     pub incumbents: Vec<(u64, f64, f64)>,
     /// Outcome of the solve's root dive.
@@ -1610,53 +1610,6 @@ impl SlotProblem {
         self.model.solve_warm(solver_cfg, Some(self.warm.clone()))
     }
 
-    /// Direct (un-repaired) encoding of a schedule into this problem's
-    /// variable space. No projection is applied: a schedule built for a
-    /// different slot state encodes verbatim and will fail
-    /// [`violation_at`](Self::violation_at) — exactly how stale cache
-    /// entries are caught.
-    pub fn encode_schedule(&self, s: &Schedule) -> Vec<f64> {
-        let mut p = vec![0.0; self.model.num_vars()];
-        for (e, ds) in s.deployments.iter().enumerate().take(self.num_edges) {
-            for d in ds {
-                let m = d.model.index();
-                if m < self.num_models {
-                    p[self.x[e][m].index()] = 1.0;
-                    p[self.b[e][m].index()] += d.batch as f64;
-                }
-            }
-        }
-        for i in 0..self.num_apps {
-            let app = birp_models::AppId(i);
-            for src in 0..self.num_edges {
-                for dst in 0..self.num_edges {
-                    let r = s.routing.get(app, EdgeId(src), EdgeId(dst)) as f64;
-                    if r == 0.0 {
-                        continue;
-                    }
-                    if src == dst {
-                        p[self.local[i][src].index()] += r;
-                    } else {
-                        p[self.out[i][src].index()] += r;
-                        p[self.inn[i][dst].index()] += r;
-                    }
-                }
-            }
-            for (k, &u) in s
-                .unserved
-                .get(i)
-                .map_or(&[][..], |row| row)
-                .iter()
-                .enumerate()
-            {
-                if k < self.num_edges {
-                    p[self.o[i][k].index()] = u as f64;
-                }
-            }
-        }
-        p
-    }
-
     /// Objective value of a point in this problem's variable space.
     pub fn point_objective(&self, p: &[f64]) -> f64 {
         self.obj_coeffs.iter().zip(p).map(|(&c, &v)| c * v).sum()
@@ -1665,66 +1618,6 @@ impl SlotProblem {
     /// Maximum constraint/bound violation at a point (0 = feasible).
     pub fn violation_at(&self, p: &[f64]) -> f64 {
         self.model.max_violation(p)
-    }
-
-    /// Certify a candidate schedule against this problem without solving
-    /// it: the direct encoding must be feasible here, and its objective
-    /// must sit within relative tolerance `tol` of the LP root bound — the
-    /// same `(objective - bound) / max(1, |objective|)` criterion branch
-    /// and bound terminates on. On success returns `(objective, gap)`;
-    /// `None` means the candidate is stale or not provably good enough and
-    /// the caller must solve.
-    pub fn certify_schedule(&self, s: &Schedule, tol: f64) -> Option<(f64, f64)> {
-        let root = self.root_obj?;
-        let p = self.encode_schedule(s);
-        if self.model.max_violation(&p) >= 1e-6 {
-            return None;
-        }
-        let obj = self.point_objective(&p);
-        let gap = (obj - root).max(0.0) / obj.abs().max(1.0);
-        (gap <= tol + 1e-12).then_some((obj, gap))
-    }
-
-    /// Certify the already-built warm-start point against the LP root
-    /// bound and, on success, decode it into a schedule without running
-    /// branch and bound at all. This is the incumbent-skip lever of the
-    /// temporal-reuse layer (DESIGN.md §11): when slot `t-1`'s repaired
-    /// schedule is already within the solver's own termination gap of the
-    /// root bound, any branch and bound run would accept it and stop — so
-    /// the search is pure overhead. Returns `None` when the warm point is
-    /// not provably good enough (the caller must solve) or the root LP
-    /// failed.
-    pub fn certified_warm(&self, tol: f64) -> Option<(Schedule, SolveStats)> {
-        let root = self.root_obj?;
-        if self.model.max_violation(&self.warm) >= 1e-6 {
-            return None;
-        }
-        let obj = self.point_objective(&self.warm);
-        let gap = (obj - root).max(0.0) / obj.abs().max(1.0);
-        if gap > tol + 1e-12 {
-            return None;
-        }
-        let sol = Solution {
-            status: ModelStatus::Optimal,
-            objective: obj,
-            values: self.warm.clone(),
-            bound: root,
-            gap,
-            nodes: 0,
-            degraded: false,
-            incumbents: vec![(0, obj, gap)],
-            root_dive: RootDive::NotRun,
-        };
-        let stats = SolveStats {
-            objective: obj,
-            gap,
-            nodes: 0,
-            optimal: true,
-            degraded: false,
-            incumbents: vec![(0, obj, gap)],
-            root_dive: RootDiveOutcome::NotRun,
-        };
-        Some((self.decode(&sol), stats))
     }
 
     /// Decode the built warm-start point into a schedule *without* running
@@ -1947,48 +1840,11 @@ impl SlotProblem {
 }
 
 impl SlotProblem {
-    /// Debug-only: the lowered MILP (used by diagnostics examples).
+    /// Debug-only: the lowered MILP. Tests compare two lowerings through it
+    /// and feed it to reference solvers; `solver_micro` benchmarks the
+    /// branch and bound on it.
     pub fn debug_milp(&self) -> birp_solver::MilpProblem {
         self.model.to_milp().unwrap()
-    }
-
-    /// Debug-only: warm-start objective and max violation.
-    pub fn debug_warm(&self) -> (f64, f64) {
-        let milp = self.model.to_milp().unwrap();
-        (
-            milp.lp.objective_at(&self.warm),
-            milp.lp.max_violation(&self.warm),
-        )
-    }
-
-    /// Debug-only: named rows and column bounds the warm start violates by
-    /// more than `tol`, as `(name, violation)` pairs.
-    pub fn debug_warm_violations(&self, tol: f64) -> Vec<(String, f64)> {
-        let milp = self.model.to_milp().unwrap();
-        let named = self.model.num_constraints();
-        let mut out = Vec::new();
-        for (i, row) in milp.lp.rows.iter().enumerate() {
-            let v = row.violation(&self.warm);
-            if v > tol {
-                let name = if i < named {
-                    self.model.constraint_name(i).to_string()
-                } else {
-                    format!("row{i}")
-                };
-                out.push((name, v));
-            }
-        }
-        for j in 0..milp.lp.num_cols() {
-            let w = self.warm[j];
-            let v = (milp.lp.lower[j] - w).max(w - milp.lp.upper[j]);
-            if v > tol {
-                out.push((
-                    format!("bound:{}", self.model.var_name(VarId::from_index(j))),
-                    v,
-                ));
-            }
-        }
-        out
     }
 }
 

@@ -15,7 +15,7 @@
 //! disables tuning (paper Section 5.2).
 
 use birp_mab::{MabConfig, Tuner};
-use birp_models::{AppId, Catalog, EdgeId, ModelId};
+use birp_models::Catalog;
 use birp_sim::{Schedule, SlotOutcome};
 use birp_solver::SolverConfig;
 use birp_telemetry as telemetry;
@@ -43,22 +43,14 @@ const DIVE_PROBE_EVERY: usize = 16;
 ///
 /// Consecutive slots differ by smooth demand drift and occasional MAB
 /// updates, so the previous slot's schedule is almost always a strong
-/// starting incumbent — and, when the slot state recurs exactly, the
-/// finished answer. Both levers are verification-gated, so behaviour
-/// stays equivalent to solving from scratch (the conformance layer's
-/// `temporal_differential` suite and the reuse-on goldens hold it there).
+/// starting incumbent. A full solve installs its repaired projection as the
+/// warm start; while the budgeted solver is returning degraded incumbents,
+/// the heuristic-regime skip serves that warm start without a search.
 #[derive(Debug, Clone)]
 pub struct TemporalReuse {
     /// Master switch (`--no-reuse` from the CLI). Off reproduces the
     /// pre-reuse decision path exactly.
     pub enabled: bool,
-    /// Cache admission tolerance: a cached schedule is returned without
-    /// branch and bound only if its relative gap to the current LP root
-    /// bound is at most this. `None` uses the solver's `rel_gap` — the
-    /// same criterion branch and bound itself terminates on.
-    pub cache_tolerance: Option<f64>,
-    /// Schedule-cache entries kept (oldest evicted).
-    pub cache_capacity: usize,
     /// Maximum consecutive slots the heuristic-regime skip may serve from
     /// the repaired previous-slot schedule before a true solve is forced.
     /// The skip only ever activates while the budgeted solver is returning
@@ -79,8 +71,6 @@ impl Default for TemporalReuse {
     fn default() -> Self {
         TemporalReuse {
             enabled: true,
-            cache_tolerance: None,
-            cache_capacity: 16,
             max_skip_streak: 3,
             deltas: true,
         }
@@ -88,8 +78,9 @@ impl Default for TemporalReuse {
 }
 
 impl TemporalReuse {
-    /// The escape hatch (`--no-reuse`): no warm-start install, no cache,
-    /// and no persistent slot model — every slot lowers from scratch.
+    /// The escape hatch (`--no-reuse`): no warm-start install, no skip and
+    /// no persistent slot model — every slot lowers from scratch and runs a
+    /// full solve.
     pub fn disabled() -> Self {
         TemporalReuse {
             enabled: false,
@@ -99,64 +90,13 @@ impl TemporalReuse {
     }
 }
 
-/// Exact fingerprint of everything that shapes one slot's problem: the
-/// demand matrix, the quarantine mask, the planner's (eta, beta) estimates
-/// (quantised at machine precision via the eta bit pattern) and the full
-/// previous executed schedule (its deployment set enters the network
-/// constraint; its routing shapes the installed incumbent). Two equal keys
-/// lower to byte-identical problems, so a cached answer is the answer the
-/// deterministic solver would recompute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SlotKey {
-    demand: Vec<u32>,
-    mask: Vec<bool>,
-    tir: Vec<u64>,
-    prev: Vec<u64>,
-}
-
-impl SlotKey {
-    fn new(
-        demand: &DemandMatrix,
-        mask: Option<&[bool]>,
-        tir: &TirMatrix,
-        prev: Option<&Schedule>,
-        num_models: usize,
-    ) -> Self {
-        let (na, ne) = (demand.num_apps(), demand.num_edges());
-        let mut d = Vec::with_capacity(na * ne);
-        for i in 0..na {
-            for k in 0..ne {
-                d.push(demand.get(AppId(i), EdgeId(k)));
-            }
-        }
-        let mut t = Vec::with_capacity(ne * num_models * 3);
-        for e in 0..ne {
-            for m in 0..num_models {
-                let p = tir.get(EdgeId(e), ModelId(m));
-                t.extend([p.eta.to_bits(), u64::from(p.beta), p.c.to_bits()]);
-            }
-        }
-        SlotKey {
-            demand: d,
-            mask: mask.map(<[bool]>::to_vec).unwrap_or_default(),
-            tir: t,
-            prev: schedule_digest(prev, na, ne),
-        }
-    }
-}
-
-#[derive(Serialize, Deserialize)]
-struct CacheEntry {
-    key: SlotKey,
-    schedule: Schedule,
-}
-
 /// Everything [`Birp`] mutates across slots, in serializable form — the
 /// scheduler half of a run checkpoint (DESIGN.md §12). The stored quarantine
 /// `mask` is part of it deliberately: [`Birp::set_edge_mask`] resets the
 /// skip streak on mask *change*, so a resumed scheduler must remember the
 /// mask it last planned under or the first post-resume slot would spuriously
-/// re-anchor.
+/// re-anchor. Checkpoints from before the schedule cache was removed still
+/// carry a `cache` field; fields are looked up by name, so it is ignored.
 #[derive(Serialize, Deserialize)]
 struct BirpState {
     tuner: Tuner,
@@ -164,7 +104,6 @@ struct BirpState {
     mask: Option<Vec<bool>>,
     skip_streak: usize,
     heuristic_regime: bool,
-    cache: Vec<CacheEntry>,
     /// Input fingerprint of the persistent slot model (DESIGN.md §13), when
     /// one was alive at checkpoint time. Restore re-lowers the skeleton from
     /// it and lets the first post-resume refresh recompute the derived
@@ -189,44 +128,6 @@ struct BirpState {
     solves_since_dive: usize,
 }
 
-/// Canonical digest of a schedule for [`SlotKey::prev`]: deployments,
-/// non-zero routing entries, unserved counts and the serial flag. The
-/// digest covers the *full* schedule, not just the deployed set, because
-/// the previous routing seeds the repaired incumbent and thereby the
-/// branch-and-bound trajectory.
-fn schedule_digest(s: Option<&Schedule>, num_apps: usize, num_edges: usize) -> Vec<u64> {
-    let Some(s) = s else { return Vec::new() };
-    let mut d = vec![u64::from(s.serial)];
-    for (e, ds) in s.deployments.iter().enumerate() {
-        let mut ds: Vec<_> = ds
-            .iter()
-            .map(|d| (d.app.index(), d.model.index(), d.batch))
-            .collect();
-        ds.sort_unstable();
-        for (a, m, batch) in ds {
-            d.extend([e as u64, a as u64, m as u64, u64::from(batch)]);
-        }
-    }
-    d.push(u64::MAX); // section separator
-    for i in 0..num_apps {
-        for src in 0..num_edges {
-            for dst in 0..num_edges {
-                let r = s.routing.get(AppId(i), EdgeId(src), EdgeId(dst));
-                if r > 0 {
-                    d.extend([i as u64, src as u64, dst as u64, u64::from(r)]);
-                }
-            }
-        }
-    }
-    d.push(u64::MAX);
-    for row in &s.unserved {
-        for &u in row {
-            d.push(u64::from(u));
-        }
-    }
-    d
-}
-
 /// Warm/cold LP counter values at decide entry, for per-slot deltas in the
 /// provenance record.
 fn lp_counter_snapshot() -> (u64, u64) {
@@ -238,13 +139,13 @@ fn lp_counter_snapshot() -> (u64, u64) {
 
 /// Emit the per-slot decision provenance record: exactly one Info-level
 /// `birp.provenance` event per decide, tagged with the path that produced
-/// the schedule (`skip` | `repair` | `cache_hit` | `full_solve` |
-/// `fallback`) plus the evidence behind it — objective/gap/node counts,
-/// warm/cold LP deltas since decide entry, the quarantine mask in force,
-/// the incumbent trajectory and what the root dive did (`not_run` |
-/// `missed` | `hit`, or `gated` when the dive gate switched it off). The
-/// path tag is mirrored into a `reuse.<path>` counter so aggregate reports
-/// cross-check against the per-slot records.
+/// the schedule (`skip` | `full_solve` | `fallback`, or `shard` |
+/// `shard_fallback` on the sharded path) plus the evidence behind it —
+/// objective/gap/node counts, warm/cold LP deltas since decide entry, the
+/// quarantine mask in force, the incumbent trajectory and what the root
+/// dive did (`not_run` | `missed` | `hit`, or `gated` when the dive gate
+/// switched it off). The path tag is mirrored into a `reuse.<path>` counter
+/// so aggregate reports cross-check against the per-slot records.
 fn emit_provenance(
     t: usize,
     path: &'static str,
@@ -378,9 +279,6 @@ pub struct Birp {
     mask: Option<Vec<bool>>,
     /// Cross-slot temporal reuse configuration (DESIGN.md §11).
     reuse: TemporalReuse,
-    /// Schedule cache: exact slot fingerprints of past solved slots and the
-    /// schedule branch and bound produced for them, newest last.
-    cache: Vec<CacheEntry>,
     /// Consecutive slots served by the heuristic-regime skip since the last
     /// true solve (bounded by [`TemporalReuse::max_skip_streak`]).
     skip_streak: usize,
@@ -430,7 +328,6 @@ impl Birp {
             use_lcb: true,
             mask: None,
             reuse: TemporalReuse::default(),
-            cache: Vec::new(),
             skip_streak: 0,
             heuristic_regime: false,
             dive_misses: 0,
@@ -460,7 +357,6 @@ impl Birp {
     /// Override the temporal-reuse configuration (e.g. [`TemporalReuse::disabled`]).
     pub fn with_reuse(mut self, reuse: TemporalReuse) -> Self {
         self.reuse = reuse;
-        self.cache.clear();
         self.skip_streak = 0;
         self.heuristic_regime = false;
         self.slot_model = None;
@@ -598,9 +494,9 @@ impl Birp {
     }
 
     /// Sharded decide path: delegate the slot to the dual-price
-    /// coordinator. The reuse/cache/skip machinery is bypassed — cluster
-    /// models already persist (and delta-refresh) inside the coordinator,
-    /// which is the sharded path's own incremental machinery.
+    /// coordinator. The warm-start install and the skip are bypassed —
+    /// cluster models already persist (and delta-refresh) inside the
+    /// coordinator, which is the sharded path's own incremental machinery.
     fn decide_sharded(
         &mut self,
         t: usize,
@@ -664,14 +560,12 @@ impl Birp {
         let candidate = if self.reuse.enabled { prev } else { None };
         let (problem, delta) = self.acquire_problem(t, demand, &tir, prev, &cfg, candidate, !skip);
         emit_delta(t, &delta);
+        match problem.reuse_outcome() {
+            Some(ReuseOutcome::Installed) => telemetry::counter("scheduler.reuse_install", 1),
+            Some(ReuseOutcome::RepairFail) => telemetry::counter("scheduler.reuse_repair_fail", 1),
+            _ => {}
+        }
         if skip {
-            match problem.reuse_outcome() {
-                Some(ReuseOutcome::Installed) => telemetry::counter("scheduler.reuse_install", 1),
-                Some(ReuseOutcome::RepairFail) => {
-                    telemetry::counter("scheduler.reuse_repair_fail", 1);
-                }
-                _ => {}
-            }
             let (schedule, stats) = problem.warm_schedule();
             self.skip_streak += 1;
             telemetry::counter("scheduler.reuse_budget_skip", 1);
@@ -692,111 +586,13 @@ impl Birp {
             return schedule;
         }
 
-        match problem.reuse_outcome() {
-            Some(ReuseOutcome::Installed) => telemetry::counter("scheduler.reuse_install", 1),
-            Some(ReuseOutcome::RepairFail) => telemetry::counter("scheduler.reuse_repair_fail", 1),
-            _ => {}
-        }
-
-        let tol = self
-            .reuse
-            .cache_tolerance
-            .unwrap_or(self.solver_cfg.rel_gap);
-
-        // The certification probes below (warm-incumbent gap check, cache
-        // lookup + re-certify) are one causal step of the decide trace.
-        let probe_span = telemetry::span("birp.reuse_probe");
-
-        // Incumbent skip: when a temporal candidate was repaired into the
-        // warm start and that point already sits within the solver's own
-        // termination gap of the LP root bound, branch and bound would
-        // accept it on arrival — skip the search.
-        if self.reuse.enabled && problem.reuse_outcome().is_some() {
-            if let Some((schedule, stats)) = problem.certified_warm(tol) {
-                telemetry::counter("scheduler.reuse_warm_skip", 1);
-                if telemetry::enabled() {
-                    telemetry::event(
-                        telemetry::Level::Debug,
-                        "birp.slot_reused",
-                        &[
-                            ("t", (t as u64).into()),
-                            ("objective", stats.objective.into()),
-                            ("gap", stats.gap.into()),
-                        ],
-                    );
-                }
-                emit_provenance(t, "repair", Some(&stats), self.mask.as_deref(), lp0, false);
-                self.last_stats = Some(stats);
-                self.slot_model = Some(problem);
-                return schedule;
-            }
-        }
-
-        // Schedule cache: when this slot's exact fingerprint (demand, mask,
-        // TIR estimates, full previous schedule) was solved before, the
-        // deterministic solver would retrace the same search — so return the
-        // cached schedule, provided it re-certifies against *this* problem's
-        // LP root bound within the solver's own optimality tolerance.
-        let key = (self.reuse.enabled && self.reuse.cache_capacity > 0).then(|| {
-            SlotKey::new(
-                demand,
-                self.mask.as_deref(),
-                &tir,
-                prev,
-                self.catalog.num_models(),
-            )
-        });
-        if let Some(key) = &key {
-            if let Some(entry) = self.cache.iter().find(|e| &e.key == key) {
-                match problem.certify_schedule(&entry.schedule, tol) {
-                    Some((objective, gap)) => {
-                        telemetry::counter("scheduler.reuse_cache_hit", 1);
-                        if telemetry::enabled() {
-                            telemetry::event(
-                                telemetry::Level::Debug,
-                                "birp.slot_reused",
-                                &[
-                                    ("t", (t as u64).into()),
-                                    ("objective", objective.into()),
-                                    ("gap", gap.into()),
-                                ],
-                            );
-                        }
-                        let stats = SolveStats {
-                            objective,
-                            gap,
-                            nodes: 0,
-                            optimal: true,
-                            degraded: false,
-                            incumbents: vec![(0, objective, gap)],
-                            root_dive: RootDiveOutcome::NotRun,
-                        };
-                        emit_provenance(
-                            t,
-                            "cache_hit",
-                            Some(&stats),
-                            self.mask.as_deref(),
-                            lp0,
-                            false,
-                        );
-                        self.last_stats = Some(stats);
-                        let mut schedule = entry.schedule.clone();
-                        schedule.t = t;
-                        self.slot_model = Some(problem);
-                        return schedule;
-                    }
-                    None => telemetry::counter("scheduler.reuse_cache_reject", 1),
-                }
-            }
-        }
-
-        drop(probe_span);
-
         // When the repair pass installed the previous slot's schedule as the
         // incumbent, branch and bound no longer needs its diving heuristics
         // (their only role is incumbent supply, and they dominate the LP
         // count under the scheduling node budget) — trust the incumbent and
-        // spend the whole budget on the tree.
+        // spend the whole budget on the tree. A warm start already within
+        // `rel_gap` of the root bound is accepted on the tree's first gap
+        // check, so such a slot costs one root LP and no search.
         let mut solver_cfg = self.solver_cfg.clone();
         if matches!(problem.reuse_outcome(), Some(ReuseOutcome::Installed)) {
             solver_cfg.trust_warm = true;
@@ -835,20 +631,6 @@ impl Birp {
                 self.record_dive(&stats);
                 self.skip_streak = 0;
                 self.heuristic_regime = stats.degraded;
-                if let Some(key) = key {
-                    // Only proven (non-degraded) answers are worth replaying;
-                    // a budget-truncated incumbent would freeze a weak
-                    // schedule into every recurrence of this slot state.
-                    if !stats.degraded {
-                        if self.cache.len() >= self.reuse.cache_capacity {
-                            self.cache.remove(0);
-                        }
-                        self.cache.push(CacheEntry {
-                            key,
-                            schedule: schedule.clone(),
-                        });
-                    }
-                }
                 self.last_stats = Some(stats);
                 self.slot_model = Some(problem);
                 schedule
@@ -973,14 +755,6 @@ impl Scheduler for Birp {
             mask: self.mask.clone(),
             skip_streak: self.skip_streak,
             heuristic_regime: self.heuristic_regime,
-            cache: self
-                .cache
-                .iter()
-                .map(|e| CacheEntry {
-                    key: e.key.clone(),
-                    schedule: e.schedule.clone(),
-                })
-                .collect(),
             slot_inputs: self.slot_model.as_ref().map(|p| p.inputs().clone()),
             shard_prices: self
                 .shard
@@ -1010,7 +784,6 @@ impl Scheduler for Birp {
         self.heuristic_regime = s.heuristic_regime;
         self.dive_misses = s.dive_misses;
         self.solves_since_dive = s.solves_since_dive;
-        self.cache = s.cache;
         self.slot_model = None;
         self.restored_inputs = s.slot_inputs;
         if let (Some(coord), Some(bits)) = (self.shard.as_mut(), s.shard_prices) {
@@ -1299,7 +1072,9 @@ mod tests {
     }
 
     /// A checkpoint taken before the gate existed imports with the gate
-    /// open; one taken with the gate closed restores it closed.
+    /// open; one taken with the gate closed restores it closed. A checkpoint
+    /// that still carries the removed schedule cache imports with the cache
+    /// ignored and the gate intact.
     #[test]
     fn dive_gate_state_round_trips_and_defaults_open() {
         let mut b = gate_test_birp();
@@ -1318,6 +1093,37 @@ mod tests {
         let Value::Object(fields) = state else {
             panic!("BirpState exports an object");
         };
+        // The cache as earlier checkpoints wrote it: one entry of a slot
+        // fingerprint (abridged) and the schedule solved for it.
+        let catalog = Catalog::small_scale(42);
+        let schedule = Birp::new(catalog.clone(), MabConfig::paper_preset()).decide(
+            0,
+            &demand(&catalog, &[(0, 0, 4)]),
+            None,
+        );
+        let ints = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::UInt(x)).collect());
+        let entry = Value::Object(vec![
+            (
+                "key".to_string(),
+                Value::Object(vec![
+                    ("demand".to_string(), ints(&[4, 0, 0, 0, 0, 0])),
+                    ("mask".to_string(), Value::Array(Vec::new())),
+                    ("tir".to_string(), ints(&[0.1f64.to_bits(), 16, 0])),
+                    ("prev".to_string(), Value::Array(Vec::new())),
+                ]),
+            ),
+            ("schedule".to_string(), Serialize::to_value(&schedule)),
+        ]);
+        let mut with_cache = fields.clone();
+        with_cache.push(("cache".to_string(), Value::Array(vec![entry])));
+        let mut restored = gate_test_birp();
+        restored
+            .import_state(&Value::Object(with_cache))
+            .expect("a checkpoint with a schedule cache imports");
+        assert_eq!(restored.dive_misses, b.dive_misses);
+        assert_eq!(restored.solves_since_dive, b.solves_since_dive);
+        assert!(restored.dive_gate_closed());
+
         let legacy = Value::Object(
             fields
                 .into_iter()

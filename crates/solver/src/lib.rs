@@ -41,7 +41,6 @@ pub mod error;
 pub mod expr;
 pub mod heuristic;
 pub mod lp;
-pub mod lpwrite;
 pub mod milp;
 pub mod model;
 pub mod presolve;
@@ -50,7 +49,6 @@ pub mod simplex;
 pub use error::SolverError;
 pub use expr::{LinExpr, VarId, VarKind};
 pub use lp::{LpProblem, LpSolution, LpStatus};
-pub use lpwrite::to_lp_format;
 pub use milp::{MilpProblem, MilpResult, MilpStatus, RootDive, SolveBudget};
 pub use model::{Model, ModelStatus, RowId, Solution, SolverConfig};
 pub use presolve::{presolve, PresolveStatus, Reduction};

@@ -228,10 +228,6 @@ impl Model {
         (self.vars[v.index()].lower, self.vars[v.index()].upper)
     }
 
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.index()].name
-    }
-
     pub fn num_vars(&self) -> usize {
         self.vars.len()
     }
