@@ -107,7 +107,32 @@ fn bench_simplex_sparse(c: &mut Criterion) {
             })
         });
     }
+    // The fleet's monolithic relaxation: 1000 edges at the fleet workload's
+    // 2.5 requests per edge per slot, solved cold. Its basis is
+    // block-diagonal with thousands of rows and its FTRAN/BTRAN results
+    // touch a handful of them, so this row times the hyper-sparse
+    // triangular solves (DESIGN.md §3).
+    let catalog = Catalog::fleet_scale(42, 1000);
+    let demand = demand_pattern(&catalog, 6);
+    let tir = TirMatrix::oracle(&catalog);
+    let problem = SlotProblem::build(&catalog, 0, &demand, &tir, None, &ProblemConfig::default());
+    let lp = problem.debug_milp().lp;
+    let opts = SimplexOptions::default();
+    g.bench_function("fleet_relaxation", |b| {
+        b.iter(|| with_engine(|eng| black_box(eng.solve_cold(&lp, &lp.lower, &lp.upper, &opts))))
+    });
     g.finish();
+}
+
+/// Deterministic demand `(3i + 5k) mod period` for app `i` at edge `k`.
+fn demand_pattern(catalog: &Catalog, period: usize) -> DemandMatrix {
+    let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
+    for i in 0..catalog.num_apps() {
+        for k in 0..catalog.num_edges() {
+            demand.set(AppId(i), EdgeId(k), ((3 * i + 5 * k) % period) as u32);
+        }
+    }
+    demand
 }
 
 /// Dive-chain guard: one cold solve, then a chain of in-place
@@ -174,12 +199,7 @@ fn bench_slot_problem(c: &mut Criterion) {
         ("small_scale", Catalog::small_scale(42)),
         ("large_scale", Catalog::large_scale(42)),
     ] {
-        let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
-        for i in 0..catalog.num_apps() {
-            for k in 0..catalog.num_edges() {
-                demand.set(AppId(i), EdgeId(k), ((3 * i + 5 * k) % 14) as u32);
-            }
-        }
+        let demand = demand_pattern(&catalog, 14);
         let tir = TirMatrix::oracle(&catalog);
         g.bench_function(format!("build_{label}"), |b| {
             b.iter(|| {
@@ -210,12 +230,7 @@ fn bench_node_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("node_throughput");
     g.sample_size(10);
     let catalog = Catalog::small_scale(42);
-    let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
-    for i in 0..catalog.num_apps() {
-        for k in 0..catalog.num_edges() {
-            demand.set(AppId(i), EdgeId(k), ((3 * i + 5 * k) % 14) as u32);
-        }
-    }
+    let demand = demand_pattern(&catalog, 14);
     let tir = TirMatrix::oracle(&catalog);
     let problem = SlotProblem::build(&catalog, 0, &demand, &tir, None, &ProblemConfig::default());
     let milp = problem.debug_milp();

@@ -921,6 +921,15 @@ fn cmd_profile(args: &Args, rest: &[String]) -> ExitCode {
         println!("\nper-slot decision provenance:");
         print!("{}", profile::provenance_table(&cap.provenance));
     }
+    let summary: Option<telemetry::TelemetrySummary> = cap
+        .summary
+        .as_ref()
+        .and_then(|v| v.get("summary"))
+        .and_then(|s| serde_json::from_value(s).ok());
+    if let Some(table) = summary.as_ref().and_then(profile::kernel_table) {
+        println!("\nsimplex kernel time (trace-level timers, every LP solve):");
+        print!("{table}");
+    }
     ExitCode::SUCCESS
 }
 

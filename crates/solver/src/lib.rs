@@ -10,9 +10,11 @@
 //!   ([`LinExpr`]) with operator overloading,
 //! * [`lp`] — the standard-form linear-program container handed to the
 //!   simplex engines,
-//! * [`simplex`] — two primal simplex implementations: a slow, obviously
-//!   correct *reference* solver (bounds as rows, Bland's rule) used to
-//!   cross-validate the fast *bounded-variable* solver used everywhere else,
+//! * [`simplex`] — three simplex cores behind one engine: the default
+//!   *sparse revised* core (sparse LU, hyper-sparse FTRAN/BTRAN), the
+//!   *dense tableau* core for small instances and as first fallback, and a
+//!   slow, obviously correct *reference* solver (bounds as rows, Bland's
+//!   rule) that cross-validates the other two and is the last fallback,
 //! * [`milp`] — branch-and-bound over the LP relaxation with best-first
 //!   search, an LP-guided diving heuristic, and optional rayon-parallel node
 //!   evaluation with a shared incumbent,

@@ -224,6 +224,22 @@ impl WorkVec {
         self.val[i] = v;
     }
 
+    /// Drop registered entries whose value is exactly zero and order the
+    /// rest by ascending index: afterwards [`iter`](Self::iter) visits what
+    /// a scan of the equivalent dense array visits, in the same order.
+    pub fn sort_nonzeros(&mut self) {
+        let (val, stamp) = (&self.val, &mut self.stamp);
+        let stale = self.gen.wrapping_sub(1);
+        self.idx.retain(|&i| {
+            let keep = val[i as usize] != 0.0;
+            if !keep {
+                stamp[i as usize] = stale;
+            }
+            keep
+        });
+        self.idx.sort_unstable();
+    }
+
     /// Iterate the registered nonzeros (zero-cancelled entries included).
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -285,5 +301,23 @@ mod tests {
         assert_eq!(w.get(3), 0.0, "stamp clear must hide stale values");
         w.set(3, 7.0);
         assert_eq!(w.get(3), 7.0);
+    }
+
+    #[test]
+    fn sort_nonzeros_matches_a_dense_scan() {
+        let mut w = WorkVec::default();
+        w.reset(8);
+        w.add(6, 1.0);
+        w.add(2, 4.0);
+        w.add(5, 3.0);
+        w.add(5, -3.0);
+        w.add(0, -2.0);
+        w.sort_nonzeros();
+        let got: Vec<(usize, f64)> = w.iter().collect();
+        assert_eq!(got, vec![(0, -2.0), (2, 4.0), (6, 1.0)]);
+        // A dropped entry is unregistered: the next touch registers it anew.
+        assert!(!w.is_set(5));
+        w.add(5, 1.0);
+        assert_eq!(w.nnz(), 4);
     }
 }
