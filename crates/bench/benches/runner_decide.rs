@@ -39,12 +39,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use birp_core::{
-    run_scheduler, run_scheduler_resumable, Birp, CheckpointPolicy, DemandMatrix, ProblemConfig,
-    RunConfig, RunOutcome, Scheduler, ShardConfig, ShardCoordinator, SlotProblem, TemporalReuse,
-    TirMatrix,
+    run_scheduler, run_scheduler_resumable, Birp, CheckpointPolicy, DemandMatrix, RunConfig,
+    RunOutcome, Scheduler, TemporalReuse,
 };
 use birp_mab::MabConfig;
-use birp_models::{AppId, Catalog, EdgeId};
+use birp_models::Catalog;
 use birp_sim::{Schedule, SlotOutcome};
 use birp_solver::{SolveBudget, SolverConfig};
 use birp_telemetry as telemetry;
@@ -69,13 +68,6 @@ const DELTA_SKIP_STREAK: usize = 16;
 /// Pivot budget forcing degraded (budget-truncated) solves so the
 /// heuristic-regime skip actually fires on the small-scale workload.
 const DELTA_MAX_PIVOTS: u64 = 40;
-/// Fleet size for the sharded-decomposition pass (DESIGN.md §14).
-const FLEET_EDGES: usize = 1000;
-/// Edges per cluster for the sharded pass: 20 clusters of 50.
-const FLEET_CLUSTER: usize = 50;
-/// The fleet passes solve a 10k-variable MILP; three reps keep the bench
-/// under a minute while best-of still discards scheduler noise.
-const FLEET_REPS: usize = 3;
 
 /// Times every `decide` call, delegating everything else unchanged.
 struct TimedDecide<S> {
@@ -177,52 +169,6 @@ fn run_wall_once(catalog: &Catalog, trace: &Trace, policy: Option<&CheckpointPol
     start.elapsed().as_secs_f64() * 1e3 / trace.num_slots() as f64
 }
 
-/// Fleet-scale single-slot decide (DESIGN.md §14): the same 1000-edge slot
-/// MILP solved monolithically and through the sharded coordinator, both
-/// under the production per-solve budget (`SolverConfig::scheduling()` —
-/// sharding must not need a bigger budget class than the small scale uses).
-/// Returns (mono best ms, shard best ms, final duality gap).
-fn fleet_pass() -> (f64, f64, f64) {
-    let catalog = Catalog::fleet_scale(SEED, FLEET_EDGES);
-    let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
-    for k in 0..catalog.num_edges() {
-        demand.set(AppId(0), EdgeId(k), ((k * 7 + 3) % 6) as u32);
-    }
-    let tir = TirMatrix::initial(&catalog);
-    let cfg = ProblemConfig::default();
-    let solver = SolverConfig::scheduling();
-    let shard_cfg = ShardConfig {
-        cluster_size: FLEET_CLUSTER,
-        max_iters: 4,
-        gap_tol: 0.05,
-        fallback: false,
-    };
-    let total = demand.total();
-
-    let mut mono_ms = f64::INFINITY;
-    let mut shard_ms = f64::INFINITY;
-    let mut gap = f64::INFINITY;
-    for _ in 0..FLEET_REPS {
-        let start = Instant::now();
-        let problem = SlotProblem::build_with_reuse(&catalog, 0, &demand, &tir, None, &cfg, None);
-        let (schedule, _) = problem.solve(&solver).expect("fleet monolithic solve");
-        mono_ms = mono_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(schedule.served() + schedule.total_unserved(), total);
-
-        // Fresh coordinator per rep: the timing includes the per-cluster
-        // first lowering, i.e. the cold first slot (later slots only get
-        // cheaper through the persistent cluster models).
-        let mut coord = ShardCoordinator::new(&catalog, shard_cfg);
-        let start = Instant::now();
-        let out = coord.decide(&catalog, 0, &demand, &tir, None, &cfg, &solver);
-        shard_ms = shard_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        gap = out.duality_gap;
-        assert!(!out.fallback_used);
-        assert_eq!(out.schedule.served() + out.schedule.total_unserved(), total);
-    }
-    (mono_ms, shard_ms, gap)
-}
-
 #[derive(Serialize)]
 struct Workload {
     scale: &'static str,
@@ -249,12 +195,6 @@ struct Acceptance {
     /// enforced by `birp bench-diff` on the fresh record.
     delta_speedup_required: f64,
     delta_speedup_measured: f64,
-    /// Minimum `fleet_shard_speedup` (1000-edge single-slot decide, sharded
-    /// vs monolithic, same per-solve budget class), enforced by
-    /// `birp bench-diff` on the fresh record. Deliberately below the
-    /// measured ~1.8×: the gate catches a broken decomposition, not noise.
-    shard_speedup_required: f64,
-    shard_speedup_measured: f64,
 }
 
 #[derive(Serialize)]
@@ -277,15 +217,6 @@ struct Record {
     /// Whole-run wall-clock slowdown with `--checkpoint-every 10` durable
     /// snapshots enabled, percent relative to the checkpoint-free run.
     checkpoint_overhead_pct: f64,
-    /// Fleet pass (DESIGN.md §14): one 1000-edge slot decided by the
-    /// monolithic MILP under the production budget class...
-    fleet_mono_decide_ms: f64,
-    /// ...vs the sharded coordinator (20 clusters of 50, dual-price loop),
-    /// same budget class per cluster solve.
-    fleet_shard_decide_ms: f64,
-    fleet_shard_speedup: f64,
-    /// Final duality gap the coordinator certified for the fleet slot.
-    fleet_shard_gap: f64,
     total_loss: Losses,
     acceptance: Acceptance,
 }
@@ -394,11 +325,6 @@ fn main() {
     let _ = std::fs::remove_file(&ckpt_path);
     let ckpt_overhead_pct = (ckpt_wall_ms / plain_wall_ms - 1.0) * 100.0;
 
-    // Fleet pass (DESIGN.md §14): sharded vs monolithic on one 1000-edge
-    // slot, same per-solve budget class on both sides.
-    let (fleet_mono_ms, fleet_shard_ms, fleet_gap) = fleet_pass();
-    let fleet_speedup = fleet_mono_ms / fleet_shard_ms;
-
     println!("--- runner decide latency (Fig. 6 small scale, {SLOTS} slots) ---");
     println!("reuse off  mean decide {off_ms:.3} ms/slot   total loss {off_loss:.2}");
     println!("reuse on   mean decide {on_ms:.3} ms/slot   total loss {on_loss:.2}");
@@ -416,13 +342,6 @@ fn main() {
          (plain {plain_wall_ms:.3}, Fig. 7 large scale, {CKPT_SLOTS} slots)"
     );
     println!("overhead   {ckpt_overhead_pct:.1}% (acceptance: <= 3%)");
-    println!(
-        "--- fleet pass (DESIGN.md §14, {FLEET_EDGES} edges, clusters of {FLEET_CLUSTER}, \
-         best of {FLEET_REPS}) ---"
-    );
-    println!("monolithic decide {fleet_mono_ms:.1} ms/slot");
-    println!("sharded    decide {fleet_shard_ms:.1} ms/slot   duality gap {fleet_gap:.4}");
-    println!("speedup    {fleet_speedup:.2}x (acceptance: >= 1.2x)");
 
     let record = Record {
         description: "Mean per-slot BIRP decide latency on the Fig. 6 small-scale workload \
@@ -432,10 +351,7 @@ fn main() {
                       workload (24 slots). delta_* is the incremental re-solve pass: mean decide \
                       on a drift-only 64-slot sequence in the skip-heavy regime (pivot budget 40, \
                       skip streak 16), persistent slot model refreshed with typed deltas vs \
-                      lowered from scratch every slot, identical decisions asserted. fleet_* is \
-                      the sharded decomposition pass (DESIGN.md §14): one 1000-edge slot decided \
-                      by the monolithic MILP vs the sharded coordinator (20 clusters of 50, \
-                      dual-price loop, no fallback), same per-solve budget class, best of 3.",
+                      lowered from scratch every slot, identical decisions asserted.",
         workload: Workload {
             scale: "small",
             slots: SLOTS,
@@ -450,10 +366,6 @@ fn main() {
         delta_speedup,
         telemetry_overhead_pct: overhead_pct,
         checkpoint_overhead_pct: ckpt_overhead_pct,
-        fleet_mono_decide_ms: fleet_mono_ms,
-        fleet_shard_decide_ms: fleet_shard_ms,
-        fleet_shard_speedup: fleet_speedup,
-        fleet_shard_gap: fleet_gap,
         total_loss: Losses {
             reuse_off: off_loss,
             reuse_on: on_loss,
@@ -465,8 +377,6 @@ fn main() {
             checkpoint_overhead_max_pct: 3.0,
             delta_speedup_required: 1.5,
             delta_speedup_measured: delta_speedup,
-            shard_speedup_required: 1.2,
-            shard_speedup_measured: fleet_speedup,
         },
     };
     let path = std::env::var("BIRP_BENCH_RUNNER_OUT").unwrap_or_else(|_| {

@@ -3,7 +3,7 @@
 //! Times the bounded-variable simplex against the reference engine, branch
 //! and bound on knapsacks, and a representative BIRP per-slot MILP.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, SamplingMode};
 use std::hint::black_box;
 
 use birp_core::{DemandMatrix, ProblemConfig, SlotProblem, TirMatrix};
@@ -14,6 +14,9 @@ use birp_solver::simplex::{
     solve_bounded, solve_reference, with_engine, SimplexMode, SimplexOptions,
 };
 use birp_solver::SolverConfig;
+
+/// Cold solves timed by `simplex_sparse/fleet_relaxation`.
+const FLEET_SOLVES: usize = 10;
 
 /// A dense-ish random LP with `n` columns and `m` rows (deterministic).
 fn random_lp(n: usize, m: usize, seed: u64) -> LpProblem {
@@ -107,11 +110,17 @@ fn bench_simplex_sparse(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+
     // The fleet's monolithic relaxation: 1000 edges at the fleet workload's
     // 2.5 requests per edge per slot, solved cold. Its basis is
     // block-diagonal with thousands of rows and its FTRAN/BTRAN results
     // touch a handful of them, so this row times the hyper-sparse
-    // triangular solves (DESIGN.md §3).
+    // triangular solves (DESIGN.md §3). One solve outlasts the time budget,
+    // so the row is the median of a fixed number of cold solves.
+    let mut g = c.benchmark_group("simplex_sparse");
+    g.sampling_mode(SamplingMode::Flat)
+        .sample_size(FLEET_SOLVES);
     let catalog = Catalog::fleet_scale(42, 1000);
     let demand = demand_pattern(&catalog, 6);
     let tir = TirMatrix::oracle(&catalog);

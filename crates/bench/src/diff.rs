@@ -138,8 +138,6 @@ pub fn parse_runner_record(json: &str) -> Result<BTreeMap<String, f64>, String> 
         "reuse_on_mean_decide_ms",
         "delta_off_mean_decide_ms",
         "delta_on_mean_decide_ms",
-        "fleet_mono_decide_ms",
-        "fleet_shard_decide_ms",
     ] {
         match v.get(key).and_then(Value::as_f64) {
             Some(ms) => {
@@ -154,10 +152,8 @@ pub fn parse_runner_record(json: &str) -> Result<BTreeMap<String, f64>, String> 
 /// Absolute acceptance bounds carried inside a `BENCH_runner.json` record
 /// itself: `checkpoint_overhead_pct` must stay at or below
 /// `acceptance.checkpoint_overhead_max_pct` (default 3%, DESIGN.md §12),
-/// `delta_speedup` must stay at or above
-/// `acceptance.delta_speedup_required` (default 1.5×, DESIGN.md §13), and
-/// `fleet_shard_speedup` must stay at or above
-/// `acceptance.shard_speedup_required` (default 1.2×, DESIGN.md §14).
+/// and `delta_speedup` must stay at or above
+/// `acceptance.delta_speedup_required` (default 1.5×, DESIGN.md §13).
 /// Percent overheads hover near zero and speedups are ratios already, so a
 /// baseline-ratio gate would be meaningless noise — the bounds are checked
 /// on the *fresh* record alone. Returns one message per violated bound; an
@@ -186,18 +182,6 @@ pub fn runner_acceptance_failures(json: &str) -> Result<Vec<String>, String> {
         if speedup < min {
             failures.push(format!(
                 "delta_speedup {speedup:.2}x falls below the {min}x acceptance bound"
-            ));
-        }
-    }
-    if let Some(speedup) = v.get("fleet_shard_speedup").and_then(Value::as_f64) {
-        let min = v
-            .get("acceptance")
-            .and_then(|a| a.get("shard_speedup_required"))
-            .and_then(Value::as_f64)
-            .unwrap_or(1.2);
-        if speedup < min {
-            failures.push(format!(
-                "fleet_shard_speedup {speedup:.2}x falls below the {min}x acceptance bound"
             ));
         }
     }
@@ -318,32 +302,20 @@ mod tests {
             "speedup": 2.32,
             "delta_off_mean_decide_ms": 0.066,
             "delta_on_mean_decide_ms": 0.038,
-            "delta_speedup": 1.74,
-            "fleet_mono_decide_ms": 1504.0,
-            "fleet_shard_decide_ms": 833.0,
-            "fleet_shard_speedup": 1.8
+            "delta_speedup": 1.74
         }"#;
         let m = parse_runner_record(json).unwrap();
-        assert_eq!(m.len(), 6);
+        assert_eq!(m.len(), 4);
         assert!((m["runner_decide/reuse_off_mean_decide_ms"] - 0.959).abs() < 1e-12);
         assert!((m["runner_decide/delta_on_mean_decide_ms"] - 0.038).abs() < 1e-12);
-        assert!((m["runner_decide/fleet_shard_decide_ms"] - 833.0).abs() < 1e-12);
 
-        // A record missing the delta or fleet keys (pre-§13/§14 shape) must
-        // be rejected — that is how a silently-dropped bench pass fails the
+        // A record missing the delta keys (pre-§13 shape) must be rejected — that is how a silently-dropped bench pass fails the
         // gate.
         let legacy = r#"{
             "reuse_off_mean_decide_ms": 0.959,
             "reuse_on_mean_decide_ms": 0.413
         }"#;
         assert!(parse_runner_record(legacy).is_err());
-        let no_fleet = r#"{
-            "reuse_off_mean_decide_ms": 0.959,
-            "reuse_on_mean_decide_ms": 0.413,
-            "delta_off_mean_decide_ms": 0.066,
-            "delta_on_mean_decide_ms": 0.038
-        }"#;
-        assert!(parse_runner_record(no_fleet).is_err());
     }
 
     #[test]
@@ -366,33 +338,6 @@ mod tests {
 
         // No acceptance block: the 1.5x default applies.
         let default_bound = r#"{ "delta_speedup": 1.2 }"#;
-        assert_eq!(runner_acceptance_failures(default_bound).unwrap().len(), 1);
-
-        // Old-format record without the field passes untouched.
-        let legacy = r#"{ "reuse_on_mean_decide_ms": 0.4 }"#;
-        assert!(runner_acceptance_failures(legacy).unwrap().is_empty());
-    }
-
-    #[test]
-    fn shard_speedup_bound_is_enforced_absolutely() {
-        // At or above the required speedup: passes.
-        let ok = r#"{
-            "fleet_shard_speedup": 1.8,
-            "acceptance": { "shard_speedup_required": 1.2 }
-        }"#;
-        assert!(runner_acceptance_failures(ok).unwrap().is_empty());
-
-        // Below the bound: one violation naming the numbers.
-        let bad = r#"{
-            "fleet_shard_speedup": 0.97,
-            "acceptance": { "shard_speedup_required": 1.2 }
-        }"#;
-        let fails = runner_acceptance_failures(bad).unwrap();
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("0.97"), "{fails:?}");
-
-        // No acceptance block: the 1.2x default applies.
-        let default_bound = r#"{ "fleet_shard_speedup": 1.05 }"#;
         assert_eq!(runner_acceptance_failures(default_bound).unwrap().len(), 1);
 
         // Old-format record without the field passes untouched.

@@ -66,7 +66,7 @@ use birp_core::experiments::{
 };
 use birp_core::{
     checkpoint, run_scheduler, run_scheduler_resumable, CheckpointPolicy, HealthConfig, RunConfig,
-    RunOutcome, RunResult, ShardConfig, TemporalReuse,
+    RunOutcome, RunResult, TemporalReuse,
 };
 use birp_mab::MabConfig;
 use birp_models::Catalog;
@@ -112,14 +112,6 @@ struct RunSpec {
     resilience: bool,
     no_reuse: bool,
     dense_simplex: bool,
-    /// `--shards N` (0 = sharding off). Resolved to a cluster size at build
-    /// time from the catalog's edge count.
-    #[serde(default)]
-    shards: usize,
-    /// `--cluster-size N` (0 = derive from `shards`). Takes precedence over
-    /// `shards` when both are given.
-    #[serde(default)]
-    cluster_size: usize,
     /// The serialized [`birp_sim::FaultPlan`] (inlined: the plan file may
     /// not exist anymore at resume time).
     faults: Value,
@@ -173,7 +165,6 @@ fn usage() -> ExitCode {
 
 USAGE:
     birp run        [--scale small|large] [--slots N] [--seed S] [--scheduler birp|birp-off|oaei|max]
-                    [--shards N | --cluster-size N]
                     [--checkpoint run.ckpt] [--checkpoint-every N] [--out result.json]
     birp resume     <run.ckpt> [--checkpoint-every N] [--out result.json]
     birp chaos      [--slots N] [--seed S] [--kills N] [--out report.json]
@@ -204,16 +195,6 @@ ROBUSTNESS (run / compare):
                                schedulers
     --dense-simplex            force the dense tableau simplex core instead of the
                                sparse revised core (A/B validation and triage)
-
-SHARDING (run):
-    --shards N                 decompose each slot MILP into N contiguous edge
-                               clusters solved concurrently under Lagrangian
-                               coupling prices (DESIGN.md §14); 0 (default)
-                               keeps the monolithic solve
-    --cluster-size N           set the cluster size directly instead of the
-                               cluster count (takes precedence over --shards);
-                               emits shard.iterations / shard.duality_gap
-                               telemetry per slot
 
 DURABILITY (run / resume):
     --checkpoint <run.ckpt>    write the full run state atomically every
@@ -321,21 +302,6 @@ fn solver_for(scale: &str, dense_simplex: bool) -> SolverConfig {
     solver
 }
 
-/// Resolve `--shards` / `--cluster-size` to a [`ShardConfig`]. An explicit
-/// cluster size wins; otherwise `shards > 0` derives one that splits the
-/// fleet into that many near-equal contiguous clusters. Both zero (the
-/// default) leaves the monolithic decide path untouched.
-fn shard_config_for(shards: usize, cluster_size: usize, num_edges: usize) -> Option<ShardConfig> {
-    let size = if cluster_size > 0 {
-        cluster_size
-    } else if shards > 0 {
-        num_edges.div_ceil(shards)
-    } else {
-        return None;
-    };
-    Some(ShardConfig::new(size))
-}
-
 fn print_run_result(result: &RunResult) {
     let m = &result.metrics;
     println!("scheduler      {}", result.scheduler);
@@ -398,7 +364,22 @@ fn finish_resumable(
     }
 }
 
+/// The sharding flags, removed with the sharded decide (DESIGN.md §14), as
+/// the keys earlier checkpoints stored them under in their run spec; each
+/// flag is its key with `-` for `_`.
+const REMOVED_SHARD_KEYS: [&str; 2] = ["shards", "cluster_size"];
+
 fn cmd_run(args: &Args) -> ExitCode {
+    for key in REMOVED_SHARD_KEYS {
+        let flag = key.replace('_', "-");
+        if args.get(&flag).is_some() || args.has(&flag) {
+            eprintln!(
+                "--{flag} was removed with the sharded decide (DESIGN.md §14); \
+                 every slot is one monolithic solve"
+            );
+            return ExitCode::from(2);
+        }
+    }
     let scale = args.get("scale").unwrap_or("small").to_string();
     let seed = args.num("seed", 42u64);
     let slots = args.num("slots", 48usize);
@@ -414,15 +395,12 @@ fn cmd_run(args: &Args) -> ExitCode {
     if let Err(code) = apply_robustness(args, &mut run_cfg) {
         return code;
     }
-    let shards = args.num("shards", 0usize);
-    let cluster_size = args.num("cluster-size", 0usize);
-    let mut scheduler = kind.build_sharded(
+    let mut scheduler = kind.build_with_reuse(
         &catalog,
         MabConfig::paper_preset(),
         seed,
         &solver,
         &run_cfg.reuse,
-        shard_config_for(shards, cluster_size, catalog.num_edges()),
     );
 
     let Some(ckpt_path) = args.get("checkpoint").map(PathBuf::from) else {
@@ -448,8 +426,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         resilience: run_cfg.resilience.is_some(),
         no_reuse: args.has("no-reuse"),
         dense_simplex: args.has("dense-simplex"),
-        shards,
-        cluster_size,
         faults: Serialize::to_value(&run_cfg.sim.faults),
     };
     let policy = CheckpointPolicy {
@@ -494,6 +470,19 @@ fn cmd_resume(args: &Args, rest: &[String]) -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    // A run checkpointed under a sharding flag would resume here under
+    // different decisions than it started with, so it is refused.
+    for key in REMOVED_SHARD_KEYS {
+        if let Some(n) = ck.spec.get(key).and_then(Value::as_u64).filter(|&n| n > 0) {
+            eprintln!(
+                "{path}: checkpoint was written by `birp run --{} {n}`, a flag removed with \
+                 the sharded decide (DESIGN.md §14); this build cannot resume the run under \
+                 the decisions it started with",
+                key.replace('_', "-")
+            );
+            return ExitCode::from(1);
+        }
+    }
     let spec = match RunSpec::from_value(&ck.spec) {
         Ok(s) => s,
         Err(e) => {
@@ -525,13 +514,12 @@ fn cmd_resume(args: &Args, rest: &[String]) -> ExitCode {
         }
     }
     let solver = solver_for(&spec.scale, spec.dense_simplex);
-    let mut scheduler = kind.build_sharded(
+    let mut scheduler = kind.build_with_reuse(
         &catalog,
         MabConfig::paper_preset(),
         spec.seed,
         &solver,
         &run_cfg.reuse,
-        shard_config_for(spec.shards, spec.cluster_size, catalog.num_edges()),
     );
     println!(
         "resuming {} ({} scale, seed {}) at slot {}/{}",

@@ -20,9 +20,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use birp_core::{
-    run_scheduler, Birp, BirpOff, DemandMatrix, RunConfig, Scheduler, ShardConfig, TemporalReuse,
-};
+use birp_core::{run_scheduler, Birp, BirpOff, DemandMatrix, RunConfig, Scheduler, TemporalReuse};
 use birp_mab::MabConfig;
 use birp_models::{AppId, Catalog, EdgeId};
 use birp_sim::{Schedule, SlotOutcome};
@@ -52,10 +50,6 @@ pub struct GoldenScenario {
     /// were recorded in; the `-reuse` variants run the reuse path and catch
     /// drift in the warm-start install / schedule-cache machinery.
     pub reuse: bool,
-    /// Cluster size for the sharded decomposition scheduler (DESIGN.md
-    /// §14); `0` keeps the monolithic decide path. Pre-sharding scenarios
-    /// pin this to zero so their snapshots stay byte-identical.
-    pub cluster_size: usize,
 }
 
 /// The committed scenario set. Short horizons keep the snapshots reviewable
@@ -71,7 +65,6 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             num_slots: 8,
             mean_rate: 6.0,
             reuse: false,
-            cluster_size: 0,
         },
         GoldenScenario {
             name: "small-birp-s7",
@@ -80,7 +73,6 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             num_slots: 6,
             mean_rate: 5.0,
             reuse: false,
-            cluster_size: 0,
         },
         GoldenScenario {
             name: "small-birpoff-s42-reuse",
@@ -89,7 +81,6 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             num_slots: 8,
             mean_rate: 6.0,
             reuse: true,
-            cluster_size: 0,
         },
         GoldenScenario {
             name: "small-birp-s7-reuse",
@@ -98,11 +89,11 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             num_slots: 6,
             mean_rate: 5.0,
             reuse: true,
-            cluster_size: 0,
         },
-        // Sharded decomposition (DESIGN.md §14): the same runner stack but
-        // every decide goes through the dual-price cluster coordinator, so
-        // drift in the pricing loop, stitch/repair or fallback shows here.
+        // Recorded through the sharded decide (DESIGN.md §14), whose every
+        // decision was its monolithic fallback: the reuse-off decide, which
+        // replays it byte for byte. The name, which the snapshot embeds,
+        // is kept.
         GoldenScenario {
             name: "small-birpoff-s11-shard",
             scheduler: SchedulerKind::BirpOff,
@@ -110,7 +101,6 @@ pub fn scenarios() -> Vec<GoldenScenario> {
             num_slots: 6,
             mean_rate: 5.0,
             reuse: false,
-            cluster_size: 2,
         },
     ]
 }
@@ -185,19 +175,11 @@ pub fn replay(sc: &GoldenScenario) -> String {
         TemporalReuse::disabled()
     };
     let inner = match sc.scheduler {
-        SchedulerKind::Birp => {
-            let mut s = Birp::new(catalog.clone(), MabConfig::paper_preset()).with_reuse(reuse);
-            if sc.cluster_size > 0 {
-                s = s.with_shards(ShardConfig::new(sc.cluster_size));
-            }
-            AnyScheduler::Birp(s)
-        }
+        SchedulerKind::Birp => AnyScheduler::Birp(
+            Birp::new(catalog.clone(), MabConfig::paper_preset()).with_reuse(reuse),
+        ),
         SchedulerKind::BirpOff => {
-            let mut s = BirpOff::new(catalog.clone()).with_reuse(reuse);
-            if sc.cluster_size > 0 {
-                s = s.with_shards(ShardConfig::new(sc.cluster_size));
-            }
-            AnyScheduler::BirpOff(s)
+            AnyScheduler::BirpOff(BirpOff::new(catalog.clone()).with_reuse(reuse))
         }
     };
     let mut rec = RecordingScheduler {

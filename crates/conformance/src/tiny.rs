@@ -186,7 +186,6 @@ pub fn sample_tiny_instance(rng: &mut TestRng) -> TinyInstance {
             mode,
             drop_penalty,
             masked_edges,
-            coupling: None,
         },
     }
 }

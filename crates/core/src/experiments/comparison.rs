@@ -15,7 +15,7 @@ use birp_solver::SolverConfig;
 use birp_workload::{Trace, TraceConfig};
 
 use crate::runner::{run_scheduler, RunConfig, RunResult};
-use crate::schedulers::{Birp, BirpOff, MaxBatch, Oaei, Scheduler, ShardConfig, TemporalReuse};
+use crate::schedulers::{Birp, BirpOff, MaxBatch, Oaei, Scheduler, TemporalReuse};
 
 /// Which algorithm to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,40 +45,17 @@ impl SchedulerKind {
         solver: &SolverConfig,
         reuse: &TemporalReuse,
     ) -> Box<dyn Scheduler + Send> {
-        self.build_sharded(catalog, mab, seed, solver, reuse, None)
-    }
-
-    /// Like [`build_with_reuse`](Self::build_with_reuse) but optionally
-    /// wiring the MILP schedulers to the sharded decomposition coordinator.
-    /// Non-MILP schedulers ignore the shard config.
-    pub fn build_sharded(
-        self,
-        catalog: &Catalog,
-        mab: MabConfig,
-        seed: u64,
-        solver: &SolverConfig,
-        reuse: &TemporalReuse,
-        shards: Option<ShardConfig>,
-    ) -> Box<dyn Scheduler + Send> {
         match self {
-            SchedulerKind::Birp => {
-                let mut s = Birp::new(catalog.clone(), mab)
+            SchedulerKind::Birp => Box::new(
+                Birp::new(catalog.clone(), mab)
                     .with_solver(solver.clone())
-                    .with_reuse(reuse.clone());
-                if let Some(cfg) = shards {
-                    s = s.with_shards(cfg);
-                }
-                Box::new(s)
-            }
-            SchedulerKind::BirpOff => {
-                let mut s = BirpOff::new(catalog.clone())
+                    .with_reuse(reuse.clone()),
+            ),
+            SchedulerKind::BirpOff => Box::new(
+                BirpOff::new(catalog.clone())
                     .with_solver(solver.clone())
-                    .with_reuse(reuse.clone());
-                if let Some(cfg) = shards {
-                    s = s.with_shards(cfg);
-                }
-                Box::new(s)
-            }
+                    .with_reuse(reuse.clone()),
+            ),
             SchedulerKind::Oaei => {
                 Box::new(Oaei::new(catalog.clone(), seed).with_solver(solver.clone()))
             }

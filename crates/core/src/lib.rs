@@ -38,13 +38,12 @@ pub use demand::DemandMatrix;
 pub use health::{HealthConfig, HealthMonitor, HealthState, QuarantineEvent};
 pub use problem::{
     DeltaOutcome, DeltaSummary, ExecutionMode, ProblemConfig, RebuildReason, ReuseOutcome,
-    ShardCoupling, SlotDelta, SlotInputs, SlotProblem, TirMatrix,
+    SlotDelta, SlotInputs, SlotProblem, TirMatrix,
 };
 pub use runner::{
     run_scheduler, run_scheduler_resumable, CheckpointPolicy, RunConfig, RunOutcome, RunResult,
     RunnerCheckpoint,
 };
 pub use schedulers::{
-    shard_fault_stale_price, Birp, BirpOff, LocalOnly, MaxBatch, Oaei, Scheduler, ShardConfig,
-    ShardCoordinator, ShardOutcome, TemporalReuse,
+    Birp, BirpOff, LocalOnly, MaxBatch, Oaei, Scheduler, ShardConfig, TemporalReuse,
 };

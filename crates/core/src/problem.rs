@@ -104,15 +104,6 @@ pub struct ProblemConfig {
     /// still ship out or overflow, so the problem stays feasible. `None`
     /// means no edge is masked.
     pub masked_edges: Option<Vec<bool>>,
-    /// Lagrangian shard coupling (DESIGN.md §14). `Some` lowers this
-    /// problem as one *cluster* of a sharded decomposition: two extra
-    /// integer columns per app — `exp[i]` (requests exported to other
-    /// clusters) and `imp[i]` (requests imported from them) — enter the
-    /// per-app balance row as `Σout − Σin − exp + imp = 0`, priced
-    /// `+λ_i·exp − λ_i·imp` in the objective. `None` (the default and the
-    /// monolithic path) lowers the exact model of previous revisions,
-    /// bitwise.
-    pub coupling: Option<ShardCoupling>,
 }
 
 impl Default for ProblemConfig {
@@ -121,22 +112,8 @@ impl Default for ProblemConfig {
             mode: ExecutionMode::Batched,
             drop_penalty: 1.0,
             masked_edges: None,
-            coupling: None,
         }
     }
-}
-
-/// Per-app Lagrangian prices and import capacity for one cluster
-/// subproblem of the sharded decomposition (DESIGN.md §14).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCoupling {
-    /// `λ_i` per app: the bandwidth price charged per exported request and
-    /// credited per imported request.
-    pub prices: Vec<f64>,
-    /// Total demand of each app *outside* this cluster — an a-priori bound
-    /// on how many requests the rest of the fleet could possibly send
-    /// here, capping `imp[i]` without cutting off any global optimum.
-    pub outside_demand: Vec<u32>,
 }
 
 /// What happened to the temporal-reuse candidate a
@@ -252,14 +229,6 @@ pub struct SlotInputs {
     pub net_budget_bits: Vec<u64>,
     /// Per-slot compute budget, as a bit pattern.
     pub slot_ms_bits: u64,
-    /// Shard-coupling prices `λ_i` per app, as bit patterns; empty means
-    /// no coupling (the monolithic lowering).
-    #[serde(default)]
-    pub coupling_price_bits: Vec<u64>,
-    /// Import capacity per app (demand outside this cluster); empty iff
-    /// `coupling_price_bits` is.
-    #[serde(default)]
-    pub coupling_outside: Vec<u32>,
     /// FNV-1a digest of the catalog coefficient statics the lowering reads
     /// (losses, memory/transfer sizes, request sizes, gamma tables, app
     /// ownership). A mismatch means the catalog changed under the model.
@@ -277,15 +246,6 @@ impl SlotInputs {
         (0..self.num_edges)
             .map(|k| self.supply(i, k) as u64)
             .sum::<u64>() as f64
-    }
-
-    /// Upper bound of an `in[i][k]` column: everything the fleet could
-    /// possibly route here. Under shard coupling that includes the demand
-    /// held outside the cluster (importable via `imp[i]`); uncoupled it is
-    /// exactly the app total, keeping the monolithic lowering bitwise
-    /// unchanged.
-    fn inn_cap(&self, i: usize) -> f64 {
-        self.app_total(i) + self.coupling_outside.get(i).copied().unwrap_or(0) as f64
     }
 
     fn batch_cap(&self, e: usize, m: usize) -> u32 {
@@ -310,9 +270,6 @@ impl SlotInputs {
             && self.drop_penalty_bits == other.drop_penalty_bits
             && self.model_app == other.model_app
             && self.statics_digest == other.statics_digest
-            // Coupling columns exist iff prices do: turning coupling on or
-            // off changes the variable set and forces a rebuild.
-            && self.coupling_price_bits.len() == other.coupling_price_bits.len()
     }
 
     /// The typed edits turning a model lowered from `self` into one
@@ -365,14 +322,6 @@ impl SlotInputs {
         {
             ds.push(SlotDelta::BudgetChange);
         }
-        for i in 0..self.coupling_price_bits.len() {
-            if self.coupling_price_bits[i] != new.coupling_price_bits[i] {
-                ds.push(SlotDelta::CouplingPrice { app: i });
-            }
-            if self.coupling_outside[i] != new.coupling_outside[i] {
-                ds.push(SlotDelta::CouplingBound { app: i });
-            }
-        }
         ds
     }
 }
@@ -398,13 +347,6 @@ pub enum SlotDelta {
     },
     /// Memory/network/compute budgets moved: RHS updates on budget rows.
     BudgetChange,
-    /// The Lagrangian price `λ_app` moved: objective-coefficient updates
-    /// on `exp[app]`/`imp[app]` (the price-edit delta of the sharded
-    /// decomposition's dual loop, DESIGN.md §14).
-    CouplingPrice { app: usize },
-    /// The outside-demand import cap of `app` moved: bound update on
-    /// `imp[app]`.
-    CouplingBound { app: usize },
 }
 
 /// Per-kind counts of the deltas one refresh applied.
@@ -415,12 +357,11 @@ pub struct DeltaSummary {
     pub tir: usize,
     pub prev_deploy: usize,
     pub budget: usize,
-    pub coupling: usize,
 }
 
 impl DeltaSummary {
     pub fn total(&self) -> usize {
-        self.demand + self.mask + self.tir + self.prev_deploy + self.budget + self.coupling
+        self.demand + self.mask + self.tir + self.prev_deploy + self.budget
     }
 }
 
@@ -496,10 +437,6 @@ pub struct SlotProblem {
     out: Vec<Vec<VarId>>,
     inn: Vec<Vec<VarId>>,
     o: Vec<Vec<VarId>>,
-    /// Shard-coupling export/import columns per app; empty without
-    /// coupling (the monolithic lowering adds no columns).
-    exp: Vec<VarId>,
-    imp: Vec<VarId>,
     /// Feasible-by-construction warm start (loss-greedy local packing)
     /// computed at build time; branch and bound starts from its objective
     /// as the incumbent cutoff.
@@ -664,14 +601,6 @@ impl SlotProblem {
                     summary.budget += 1;
                     self.apply_budgets();
                 }
-                SlotDelta::CouplingPrice { app } => {
-                    summary.coupling += 1;
-                    self.apply_coupling_price(app);
-                }
-                SlotDelta::CouplingBound { app } => {
-                    summary.coupling += 1;
-                    self.apply_coupling_bound(app);
-                }
             }
         }
         // Even a zero-delta slot re-derives: the warm start and reuse
@@ -685,7 +614,7 @@ impl SlotProblem {
     /// builder's formulas — including the mask overrides on `local`/`in`.
     fn apply_demand_drift(&mut self, i: usize) {
         let mut fault = DELTA_FAULT_STALE_RHS.with(|c| c.get());
-        let inn_cap = self.inputs.inn_cap(i);
+        let inn_cap = self.inputs.app_total(i);
         for k in 0..self.num_edges {
             let supply = self.inputs.supply(i, k) as f64;
             let masked = self.inputs.mask[k];
@@ -702,10 +631,6 @@ impl SlotProblem {
             self.model.set_bounds(self.o[i][k], 0.0, supply);
             self.model
                 .set_bounds(self.inn[i][k], 0.0, if masked { 0.0 } else { inn_cap });
-        }
-        if let Some(&e) = self.exp.get(i) {
-            // The export column's capacity is the cluster's own supply.
-            self.model.set_bounds(e, 0.0, self.inputs.app_total(i));
         }
     }
 
@@ -725,7 +650,7 @@ impl SlotProblem {
         }
         for i in 0..self.num_apps {
             let supply = self.inputs.supply(i, e) as f64;
-            let inn_cap = self.inputs.inn_cap(i);
+            let inn_cap = self.inputs.app_total(i);
             self.model
                 .set_bounds(self.local[i][e], 0.0, if masked { 0.0 } else { supply });
             self.model
@@ -782,28 +707,6 @@ impl SlotProblem {
                 self.compute_rows[e],
                 f64::from_bits(self.inputs.slot_ms_bits),
             );
-        }
-    }
-
-    /// [`SlotDelta::CouplingPrice`]: the dual loop moved `λ_app`; only the
-    /// objective coefficients of the coupling columns change.
-    fn apply_coupling_price(&mut self, i: usize) {
-        let price = f64::from_bits(self.inputs.coupling_price_bits[i]);
-        self.model.set_objective(self.exp[i], price);
-        self.model.set_objective(self.imp[i], -price);
-    }
-
-    /// [`SlotDelta::CouplingBound`]: the rest of the fleet's demand for
-    /// `app` moved; the import cap changes, and with it every `in[i][k]`
-    /// column cap (imports arrive through `in`).
-    fn apply_coupling_bound(&mut self, i: usize) {
-        self.model
-            .set_bounds(self.imp[i], 0.0, self.inputs.coupling_outside[i] as f64);
-        let inn_cap = self.inputs.inn_cap(i);
-        for k in 0..self.num_edges {
-            if !self.inputs.mask[k] {
-                self.model.set_bounds(self.inn[i][k], 0.0, inn_cap);
-            }
         }
     }
 
@@ -870,16 +773,6 @@ impl SlotProblem {
                 .map(|e| e.network_budget_mb.to_bits())
                 .collect(),
             slot_ms_bits: catalog.slot_ms.to_bits(),
-            coupling_price_bits: cfg
-                .coupling
-                .as_ref()
-                .map(|c| c.prices.iter().map(|p| p.to_bits()).collect())
-                .unwrap_or_default(),
-            coupling_outside: cfg
-                .coupling
-                .as_ref()
-                .map(|c| c.outside_demand.clone())
-                .unwrap_or_default(),
             statics_digest: Self::statics_digest(catalog),
         }
     }
@@ -959,7 +852,7 @@ impl SlotProblem {
         let mut out = Vec::with_capacity(na);
         let mut inn = Vec::with_capacity(na);
         for i in 0..na {
-            let inn_cap = inputs.inn_cap(i);
+            let inn_cap = inputs.app_total(i);
             let mut l_row = Vec::with_capacity(ne);
             let mut o_row = Vec::with_capacity(ne);
             let mut i_row = Vec::with_capacity(ne);
@@ -1007,30 +900,6 @@ impl SlotProblem {
                     .collect()
             })
             .collect();
-        // Shard-coupling columns (DESIGN.md §14), appended after every
-        // monolithic column so coupling-off lowerings are bitwise
-        // unchanged. `exp[i]` can export at most the cluster's own supply;
-        // `imp[i]` can import at most the demand outside the cluster.
-        let mut exp = Vec::new();
-        let mut imp = Vec::new();
-        for i in 0..inputs.coupling_price_bits.len() {
-            let price = f64::from_bits(inputs.coupling_price_bits[i]);
-            exp.push(model.add_var(
-                &format!("exp[{i}]"),
-                VarKind::Integer,
-                0.0,
-                inputs.app_total(i),
-                price,
-            ));
-            imp.push(model.add_var(
-                &format!("imp[{i}]"),
-                VarKind::Integer,
-                0.0,
-                inputs.coupling_outside[i] as f64,
-                -price,
-            ));
-        }
-
         // --- quarantine mask -----------------------------------------------
         // A masked edge hosts nothing and receives nothing; its own supply
         // keeps `out`/`o` open so the flow rows stay feasible.
@@ -1060,17 +929,9 @@ impl SlotProblem {
         }
 
         // Per-app routing balance: everything shipped is received somewhere.
-        // With shard coupling the cluster may also export to / import from
-        // the rest of the fleet: `Σout − Σin − exp + imp = 0`. The row is
-        // static under every delta kind (price edits touch only objective
-        // coefficients), so it still needs no handle.
+        // The row is static under every delta kind, so it needs no handle.
         for i in 0..na {
-            let mut expr =
-                LinExpr::sum(out[i].iter().copied()) - LinExpr::sum(inn[i].iter().copied());
-            if let Some(&ev) = exp.get(i) {
-                expr.add_term(ev, -1.0);
-                expr.add_term(imp[i], 1.0);
-            }
+            let expr = LinExpr::sum(out[i].iter().copied()) - LinExpr::sum(inn[i].iter().copied());
             model.add_eq(&format!("balance[{i}]"), expr, 0.0);
         }
 
@@ -1186,8 +1047,6 @@ impl SlotProblem {
             out,
             inn,
             o,
-            exp,
-            imp,
             warm: Vec::new(),
             root_obj: None,
             reuse_outcome: None,
@@ -1241,11 +1100,6 @@ impl SlotProblem {
             for &ov in row {
                 obj_coeffs[ov.index()] = drop_penalty;
             }
-        }
-        for (i, &ev) in self.exp.iter().enumerate() {
-            let price = f64::from_bits(self.inputs.coupling_price_bits[i]);
-            obj_coeffs[ev.index()] = price;
-            obj_coeffs[self.imp[i].index()] = -price;
         }
         let point_obj = |p: &[f64]| -> f64 { obj_coeffs.iter().zip(p).map(|(&c, &v)| c * v).sum() };
 
@@ -1565,59 +1419,9 @@ impl SlotProblem {
         &self.warm
     }
 
-    // --- sharded-decomposition support (DESIGN.md §14) -----------------
-    // The coordinator stitches cluster solutions into the monolithic
-    // variable space and repairs them there, so it needs the column maps
-    // and the guide-driven packing pass.
-
-    pub(crate) fn vid_x(&self, e: usize, m: usize) -> VarId {
-        self.x[e][m]
-    }
-
-    pub(crate) fn vid_b(&self, e: usize, m: usize) -> VarId {
-        self.b[e][m]
-    }
-
-    pub(crate) fn vid_local(&self, i: usize, k: usize) -> VarId {
-        self.local[i][k]
-    }
-
-    pub(crate) fn vid_out(&self, i: usize, k: usize) -> VarId {
-        self.out[i][k]
-    }
-
-    pub(crate) fn vid_inn(&self, i: usize, k: usize) -> VarId {
-        self.inn[i][k]
-    }
-
-    pub(crate) fn vid_o(&self, i: usize, k: usize) -> VarId {
-        self.o[i][k]
-    }
-
-    /// Project a (possibly infeasible) guide point onto feasibility via
-    /// the same budget-disciplined greedy packing that builds the warm
-    /// start — the primal-repair step of the sharded coordinator.
-    pub(crate) fn repair_point(&self, catalog: &Catalog, guide: Vec<f64>) -> Vec<f64> {
-        self.packed_point(catalog, Some(&guide))
-    }
-
-    /// Solve and return the raw solver [`Solution`] without decoding — the
-    /// per-cluster entry point of the sharded coordinator, which needs the
-    /// dual bound and raw column values (a coupled cluster's `out`/`in`
-    /// sums need not balance edge-to-edge, so [`decode`](Self::decode)
-    /// does not apply).
-    pub fn solve_raw(&self, solver_cfg: &SolverConfig) -> Result<Solution, SolverError> {
-        self.model.solve_warm(solver_cfg, Some(self.warm.clone()))
-    }
-
     /// Objective value of a point in this problem's variable space.
     pub fn point_objective(&self, p: &[f64]) -> f64 {
         self.obj_coeffs.iter().zip(p).map(|(&c, &v)| c * v).sum()
-    }
-
-    /// Maximum constraint/bound violation at a point (0 = feasible).
-    pub fn violation_at(&self, p: &[f64]) -> f64 {
-        self.model.max_violation(p)
     }
 
     /// Decode the built warm-start point into a schedule *without* running
@@ -1664,31 +1468,6 @@ impl SlotProblem {
     /// usable incumbent, even under the tightest node budgets.
     pub fn solve(&self, solver_cfg: &SolverConfig) -> Result<(Schedule, SolveStats), SolverError> {
         let sol = self.model.solve_warm(solver_cfg, Some(self.warm.clone()))?;
-        Ok(self.decode_with_stats(&sol))
-    }
-
-    /// Solve from the LP-guided warm start a full
-    /// [`build_with_reuse`](Self::build_with_reuse) without a reuse
-    /// candidate would derive, whatever this problem was built with. The
-    /// guide LP and its packing run beside presolve and the root LP
-    /// instead of before them, and the model is not lowered again: a lean
-    /// build ([`build_reuse_lean`](Self::build_reuse_lean)) solved this way
-    /// returns the schedule and stats of `build_with_reuse(.., None)` and
-    /// [`solve`](Self::solve), bitwise.
-    pub fn solve_guided(
-        &self,
-        catalog: &Catalog,
-        solver_cfg: &SolverConfig,
-    ) -> Result<(Schedule, SolveStats), SolverError> {
-        // The guide runs on whichever thread is free; its span hangs off
-        // the caller's, as branch-and-bound wave nodes do.
-        let ctx = telemetry::SpanContext::current();
-        let sol = self.model.solve_warm_with(solver_cfg, |lp| {
-            let _guide_span = ctx.span_at("problem.guide_lp", 0);
-            let root = birp_solver::simplex::solve_bounded(lp);
-            let guide = (root.status == birp_solver::LpStatus::Optimal).then_some(root.x);
-            Some(self.packed_point(catalog, guide.as_ref()))
-        })?;
         Ok(self.decode_with_stats(&sol))
     }
 
@@ -2194,63 +1973,6 @@ mod tests {
             restored.refresh_with_reuse(&catalog, 1, &d1, &tir, Some(&s0), &cfg, Some(&s0), true);
         assert_eq!(a, b, "restored refresh must take the same path");
         assert_same_problem(&live, &restored);
-    }
-
-    #[test]
-    fn refresh_coupling_deltas_match_rebuild_bitwise() {
-        let catalog = Catalog::small_scale(42);
-        let tir = TirMatrix::oracle(&catalog);
-        let d = demand_of(&catalog, &[(0, 0, 6), (0, 3, 4)]);
-        let coupled = |prices: Vec<f64>, outside: Vec<u32>| ProblemConfig {
-            coupling: Some(ShardCoupling {
-                prices,
-                outside_demand: outside,
-            }),
-            ..Default::default()
-        };
-        let cfg0 = coupled(vec![0.0], vec![5]);
-        let mut p = SlotProblem::build(&catalog, 0, &d, &tir, None, &cfg0);
-
-        // A dual-price edit alone — the per-iteration update the sharded
-        // coordinator performs between subgradient steps.
-        let cfg1 = coupled(vec![0.35], vec![5]);
-        let out = p.refresh_with_reuse(&catalog, 0, &d, &tir, None, &cfg1, None, true);
-        match out {
-            DeltaOutcome::Applied(s) => {
-                assert_eq!(s.coupling, 1, "expected one coupling delta, got {s:?}")
-            }
-            other => panic!("expected Applied, got {other:?}"),
-        }
-        let fresh = SlotProblem::build(&catalog, 0, &d, &tir, None, &cfg1);
-        assert_same_problem(&p, &fresh);
-
-        // Price and outside-demand edits together — a new slot under new
-        // duals, refreshed lean as the coordinator does.
-        let cfg2 = coupled(vec![0.1], vec![9]);
-        let out = p.refresh_with_reuse(&catalog, 1, &d, &tir, None, &cfg2, None, false);
-        match out {
-            DeltaOutcome::Applied(s) => {
-                assert_eq!(s.coupling, 2, "expected two coupling deltas, got {s:?}")
-            }
-            other => panic!("expected Applied, got {other:?}"),
-        }
-        let fresh2 = SlotProblem::build_reuse_lean(&catalog, 1, &d, &tir, None, &cfg2, None);
-        assert_same_problem(&p, &fresh2);
-
-        // Attaching or detaching coupling entirely is structural.
-        let out = p.refresh_with_reuse(
-            &catalog,
-            2,
-            &d,
-            &tir,
-            None,
-            &ProblemConfig::default(),
-            None,
-            true,
-        );
-        assert_eq!(out, DeltaOutcome::Rebuilt(RebuildReason::StructureChanged));
-        let fresh3 = SlotProblem::build(&catalog, 2, &d, &tir, None, &ProblemConfig::default());
-        assert_same_problem(&p, &fresh3);
     }
 
     #[test]

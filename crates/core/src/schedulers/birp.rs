@@ -28,7 +28,6 @@ use crate::problem::{
     SlotInputs, SlotProblem, SolveStats, TirMatrix,
 };
 use crate::schedulers::local::greedy_local;
-use crate::schedulers::sharded::{edge_clusters, ShardConfig, ShardCoordinator};
 use crate::schedulers::Scheduler;
 
 /// Root-dive gate (DESIGN.md §15): after this many consecutive full solves
@@ -90,13 +89,28 @@ impl TemporalReuse {
     }
 }
 
+/// Fleet partition of [`Birp::with_shards`], the shim left by the deleted
+/// sharded decide (DESIGN.md §14).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardConfig {
+    /// Edges per contiguous cluster; `0` means no partition.
+    pub cluster_size: usize,
+}
+
+impl ShardConfig {
+    pub fn new(cluster_size: usize) -> Self {
+        ShardConfig { cluster_size }
+    }
+}
+
 /// Everything [`Birp`] mutates across slots, in serializable form — the
 /// scheduler half of a run checkpoint (DESIGN.md §12). The stored quarantine
 /// `mask` is part of it deliberately: [`Birp::set_edge_mask`] resets the
 /// skip streak on mask *change*, so a resumed scheduler must remember the
 /// mask it last planned under or the first post-resume slot would spuriously
-/// re-anchor. Checkpoints from before the schedule cache was removed still
-/// carry a `cache` field; fields are looked up by name, so it is ignored.
+/// re-anchor. Checkpoints from before the schedule cache and the sharded
+/// decide were removed still carry a `cache` or `shard_prices` field;
+/// fields are looked up by name, so both are ignored.
 #[derive(Serialize, Deserialize)]
 struct BirpState {
     tuner: Tuner,
@@ -112,14 +126,6 @@ struct BirpState {
     /// pre-delta checkpoints readable (absent field → no persistent model).
     #[serde(default)]
     slot_inputs: Option<SlotInputs>,
-    /// Dual prices of the sharded coordinator as IEEE-754 bit patterns
-    /// (DESIGN.md §14), when sharding is active. Cluster models need no
-    /// snapshot: refresh ≡ rebuild bitwise, and a cluster's slot inputs
-    /// are fully determined by (demand, TIR, prev, mask, prices) — all of
-    /// which the resumed run reproduces. `default` keeps pre-shard
-    /// checkpoints readable.
-    #[serde(default)]
-    shard_prices: Option<Vec<u64>>,
     /// Root-dive gate counters (DESIGN.md §15). `default` keeps earlier
     /// checkpoints readable, with the gate open.
     #[serde(default)]
@@ -139,13 +145,13 @@ fn lp_counter_snapshot() -> (u64, u64) {
 
 /// Emit the per-slot decision provenance record: exactly one Info-level
 /// `birp.provenance` event per decide, tagged with the path that produced
-/// the schedule (`skip` | `full_solve` | `fallback`, or `shard` |
-/// `shard_fallback` on the sharded path) plus the evidence behind it —
-/// objective/gap/node counts, warm/cold LP deltas since decide entry, the
-/// quarantine mask in force, the incumbent trajectory and what the root
-/// dive did (`not_run` | `missed` | `hit`, or `gated` when the dive gate
-/// switched it off). The path tag is mirrored into a `reuse.<path>` counter
-/// so aggregate reports cross-check against the per-slot records.
+/// the schedule (`skip` | `full_solve` | `fallback`) plus the evidence
+/// behind it — objective/gap/node counts, warm/cold LP deltas since decide
+/// entry, the quarantine mask in force, the incumbent trajectory and what
+/// the root dive did (`not_run` | `missed` | `hit`, or `gated` when the
+/// dive gate switched it off). The path tag is mirrored into a
+/// `reuse.<path>` counter so aggregate reports cross-check against the
+/// per-slot records.
 fn emit_provenance(
     t: usize,
     path: &'static str,
@@ -299,11 +305,6 @@ pub struct Birp {
     /// Input fingerprint restored from a checkpoint, consumed by the first
     /// decide after resume to re-lower the persistent model skeleton.
     restored_inputs: Option<SlotInputs>,
-    /// Sharded-decomposition coordinator (DESIGN.md §14). `Some` only when
-    /// [`with_shards`](Self::with_shards) produced at least two clusters —
-    /// a single-cluster partition is the monolithic problem and falls
-    /// through to the ordinary decide path bitwise.
-    shard: Option<ShardCoordinator>,
     /// Solve statistics of the most recent slot (for experiment logs).
     pub last_stats: Option<SolveStats>,
     /// Cumulative absolute TIR estimation error (LCB estimate vs ground
@@ -334,7 +335,6 @@ impl Birp {
             solves_since_dive: 0,
             slot_model: None,
             restored_inputs: None,
-            shard: None,
             last_stats: None,
             cum_regret: 0.0,
         }
@@ -364,24 +364,22 @@ impl Birp {
         self
     }
 
-    /// Enable the sharded decomposition scheduler (DESIGN.md §14): the
-    /// fleet is partitioned into clusters of `cfg.cluster_size` edges and
-    /// each slot is decided by the Lagrangian dual-price loop. A partition
-    /// with fewer than two clusters (cluster size 0, or at least the fleet
-    /// size) leaves the monolithic path in place, bitwise.
-    pub fn with_shards(mut self, cfg: ShardConfig) -> Self {
-        let clusters = if cfg.cluster_size == 0 {
-            1
+    /// Shim left by the deleted sharded decide (DESIGN.md §14). A
+    /// partition of the fleet into at least two clusters of
+    /// `cfg.cluster_size` edges ran the Lagrangian coordinator, whose
+    /// decision was always its fallback: one guided monolithic solve per
+    /// slot, which is the reuse-off decide. So such a partition returns
+    /// `self.with_reuse(TemporalReuse::disabled())`; cluster size 0, or at
+    /// least the fleet size, returns the scheduler unchanged. The
+    /// end-to-end benchmark still builds its fleet through this call; the
+    /// next change to the benchmark replaces the call and deletes the shim.
+    pub fn with_shards(self, cfg: ShardConfig) -> Self {
+        let edges = self.catalog.num_edges();
+        if cfg.cluster_size > 0 && edges.div_ceil(cfg.cluster_size) >= 2 {
+            self.with_reuse(TemporalReuse::disabled())
         } else {
-            edge_clusters(self.catalog.num_edges(), cfg.cluster_size).len()
-        };
-        self.shard = (clusters >= 2).then(|| ShardCoordinator::new(&self.catalog, cfg));
-        self
-    }
-
-    /// The sharded coordinator, when one is active (diagnostics/tests).
-    pub fn shard_coordinator(&self) -> Option<&ShardCoordinator> {
-        self.shard.as_ref()
+            self
+        }
     }
 
     /// Access the tuner (diagnostics and tests).
@@ -493,48 +491,12 @@ impl Birp {
         }
     }
 
-    /// Sharded decide path: delegate the slot to the dual-price
-    /// coordinator. The warm-start install and the skip are bypassed —
-    /// cluster models already persist (and delta-refresh) inside the
-    /// coordinator, which is the sharded path's own incremental machinery.
-    fn decide_sharded(
-        &mut self,
-        t: usize,
-        demand: &DemandMatrix,
-        prev: Option<&Schedule>,
-    ) -> Schedule {
-        let tir = self.estimates();
-        let lp0 = lp_counter_snapshot();
-        let cfg = ProblemConfig {
-            masked_edges: self.mask.clone(),
-            ..self.problem_cfg.clone()
-        };
-        // Take the coordinator out to split the borrow against `catalog`.
-        let mut coord = self
-            .shard
-            .take()
-            .expect("decide_sharded without coordinator");
-        let out = coord.decide(&self.catalog, t, demand, &tir, prev, &cfg, &self.solver_cfg);
-        self.shard = Some(coord);
-        let path = if out.fallback_used {
-            "shard_fallback"
-        } else {
-            "shard"
-        };
-        emit_provenance(t, path, Some(&out.stats), self.mask.as_deref(), lp0, false);
-        self.last_stats = Some(out.stats);
-        out.schedule
-    }
-
     fn decide_inner(
         &mut self,
         t: usize,
         demand: &DemandMatrix,
         prev: Option<&Schedule>,
     ) -> Schedule {
-        if self.shard.is_some() {
-            return self.decide_sharded(t, demand, prev);
-        }
         let tir = self.estimates();
         let lp0 = lp_counter_snapshot();
         let cfg = ProblemConfig {
@@ -756,10 +718,6 @@ impl Scheduler for Birp {
             skip_streak: self.skip_streak,
             heuristic_regime: self.heuristic_regime,
             slot_inputs: self.slot_model.as_ref().map(|p| p.inputs().clone()),
-            shard_prices: self
-                .shard
-                .as_ref()
-                .map(|c| c.prices().iter().map(|p| p.to_bits()).collect()),
             dive_misses: self.dive_misses,
             solves_since_dive: self.solves_since_dive,
         })
@@ -786,9 +744,6 @@ impl Scheduler for Birp {
         self.solves_since_dive = s.solves_since_dive;
         self.slot_model = None;
         self.restored_inputs = s.slot_inputs;
-        if let (Some(coord), Some(bits)) = (self.shard.as_mut(), s.shard_prices) {
-            coord.set_prices(bits.into_iter().map(f64::from_bits).collect());
-        }
         self.last_stats = None;
         Ok(())
     }
@@ -821,12 +776,6 @@ impl BirpOff {
     /// Override the temporal-reuse configuration (e.g. [`TemporalReuse::disabled`]).
     pub fn with_reuse(mut self, reuse: TemporalReuse) -> Self {
         self.inner = self.inner.with_reuse(reuse);
-        self
-    }
-
-    /// Enable the sharded decomposition scheduler (see [`Birp::with_shards`]).
-    pub fn with_shards(mut self, cfg: ShardConfig) -> Self {
-        self.inner = self.inner.with_shards(cfg);
         self
     }
 
@@ -1135,6 +1084,78 @@ mod tests {
         restored.import_state(&legacy).unwrap();
         assert_eq!((restored.dive_misses, restored.solves_since_dive), (0, 0));
         assert!(!restored.dive_gate_closed());
+
+        // A state as the sharded decide wrote it: coordinator prices beside
+        // a persistent slot model whose fingerprint carries the (empty, on
+        // the monolithic model) coupling inputs. It imports with both
+        // ignored, and the fingerprint restores unchanged.
+        let mut live = gate_test_birp();
+        let d = demand(&catalog, &[(0, 0, 4), (0, 3, 2)]);
+        live.decide(0, &d, None);
+        let Value::Object(fields) = live.export_state() else {
+            panic!("BirpState exports an object");
+        };
+        let sharded: Vec<(String, Value)> = fields
+            .into_iter()
+            .map(|(k, v)| match (k.as_str(), v) {
+                ("slot_inputs", Value::Object(mut inputs)) => {
+                    inputs.push(("coupling_price_bits".to_string(), Value::Array(Vec::new())));
+                    inputs.push(("coupling_outside".to_string(), Value::Array(Vec::new())));
+                    (k, Value::Object(inputs))
+                }
+                (_, v) => (k, v),
+            })
+            .chain([("shard_prices".to_string(), ints(&[0.25f64.to_bits()]))])
+            .collect();
+        let mut restored = gate_test_birp();
+        restored
+            .import_state(&Value::Object(sharded))
+            .expect("a checkpoint of the sharded decide imports");
+        assert_eq!(
+            restored.restored_inputs.as_ref(),
+            live.slot_model.as_ref().map(|p| p.inputs())
+        );
+        assert_eq!(
+            restored.decide(1, &d, None),
+            live.decide(1, &d, None),
+            "the restored slot model decides as the live one"
+        );
+    }
+
+    /// The `with_shards` shim: a partition into two or more clusters is the
+    /// reuse-off decide, bitwise; cluster size 0, or a size of at least the
+    /// fleet size, leaves the scheduler as it was.
+    #[test]
+    fn with_shards_turns_reuse_off_for_two_or_more_clusters() {
+        let catalog = Catalog::small_scale(42);
+        let edges = catalog.num_edges();
+        let custom = TemporalReuse {
+            max_skip_streak: 6,
+            ..TemporalReuse::default()
+        };
+        let birp =
+            || Birp::new(catalog.clone(), MabConfig::paper_preset()).with_reuse(custom.clone());
+        let reuse_of = |r: &TemporalReuse| (r.enabled, r.max_skip_streak, r.deltas);
+        for size in [0, edges, edges + 1] {
+            let b = birp().with_shards(ShardConfig::new(size));
+            assert_eq!(reuse_of(&b.reuse), reuse_of(&custom), "cluster size {size}");
+        }
+        for size in [1, 2, edges - 1] {
+            let b = birp().with_shards(ShardConfig::new(size));
+            let off = TemporalReuse::disabled();
+            assert_eq!(reuse_of(&b.reuse), reuse_of(&off), "cluster size {size}");
+        }
+
+        let mut shim = birp().with_shards(ShardConfig::new(2));
+        let mut off = birp().with_reuse(TemporalReuse::disabled());
+        let mut prev = None;
+        for t in 0..3 {
+            let k = t as u32;
+            let d = demand(&catalog, &[(0, 0, 6 + 3 * k), (0, 2, 4), (0, 5, 2 * k)]);
+            let s = shim.decide(t, &d, prev.as_ref());
+            assert_eq!(s, off.decide(t, &d, prev.as_ref()), "slot {t}");
+            prev = Some(s);
+        }
     }
 
     #[test]

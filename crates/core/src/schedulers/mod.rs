@@ -16,17 +16,12 @@ mod birp;
 mod local;
 mod max;
 mod oaei;
-mod sharded;
 
-pub use birp::{Birp, BirpOff, TemporalReuse};
+pub use birp::{Birp, BirpOff, ShardConfig, TemporalReuse};
 pub(crate) use local::greedy_local;
 pub use local::LocalOnly;
 pub use max::MaxBatch;
 pub use oaei::Oaei;
-pub use sharded::{
-    edge_clusters, restrict_demand, restrict_prev, restrict_tir, shard_fault_stale_price,
-    ShardConfig, ShardCoordinator, ShardOutcome,
-};
 
 use birp_sim::{Schedule, SlotOutcome};
 use serde::{DeError, Value};

@@ -63,21 +63,16 @@ fn delta_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
     }
 }
 
-/// BIRP variants with the sharded decomposition coordinator on (DESIGN.md
-/// §14): every slot runs the dual-price loop, the coupling prices carry
-/// across slots, and a kill between slots lands between price iterations of
-/// the coordinator's trajectory. The checkpoint persists the prices
-/// (`BirpState.shard_prices`); cluster models restore by re-lowering.
-fn shard_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
-    let cfg = ShardConfig {
-        cluster_size: 2,
-        max_iters: 3,
-        gap_tol: 0.05,
-        fallback: true,
-    };
+/// BIRP variants with temporal reuse off: no warm-start install, no skip
+/// and no persistent slot model, so every slot lowers from scratch and the
+/// checkpoint carries no slot inputs. BIRP comes through the `with_shards`
+/// shim, as the end-to-end fleet benchmark builds it.
+fn reuse_off_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
     match which {
-        0 => Box::new(Birp::new(catalog.clone(), MabConfig::paper_preset()).with_shards(cfg)),
-        _ => Box::new(BirpOff::new(catalog.clone()).with_shards(cfg)),
+        0 => Box::new(
+            Birp::new(catalog.clone(), MabConfig::paper_preset()).with_shards(ShardConfig::new(2)),
+        ),
+        _ => Box::new(BirpOff::new(catalog.clone()).with_reuse(TemporalReuse::disabled())),
     }
 }
 
@@ -254,13 +249,11 @@ proptest! {
         prop_assert_eq!(result_json(&baseline), result_json(&resumed));
     }
 
-    /// Sharded kill–resume: the coordinator's dual prices evolve across
-    /// slots, so a kill anywhere splits its price trajectory. Resume must
-    /// restore the prices from the checkpoint and re-lower the cluster
-    /// models from scratch, and the final result must still be bitwise
-    /// identical to the uninterrupted sharded run.
+    /// Reuse-off kill–resume: the decide path the fleet runs, where every
+    /// slot is a cold full solve and the only scheduler state across a kill
+    /// is the tuner, the dive gate and the mask.
     #[test]
-    fn kill_resume_sharded_is_bitwise_equivalent(
+    fn kill_resume_reuse_off_is_bitwise_equivalent(
         kill_at in 0..SLOTS - 1,
         which in 0usize..2,
         resilience_bit in 0usize..2,
@@ -269,11 +262,11 @@ proptest! {
         let (catalog, trace) = setup();
         let cfg = config(resilience);
         let baseline = run_scheduler(
-            &catalog, &trace, shard_scheduler(&catalog, which).as_mut(), &cfg,
+            &catalog, &trace, reuse_off_scheduler(&catalog, which).as_mut(), &cfg,
         );
         let resumed = killed_and_resumed(
-            &catalog, &trace, &cfg, &|c| shard_scheduler(c, which), kill_at,
-            &format!("shard-{which}-{kill_at}-{resilience}"),
+            &catalog, &trace, &cfg, &|c| reuse_off_scheduler(c, which), kill_at,
+            &format!("reuse-off-{which}-{kill_at}-{resilience}"),
         );
         prop_assert_eq!(result_json(&baseline), result_json(&resumed));
     }

@@ -1,15 +1,17 @@
-//! Span trees of the sharded coordinator are deterministic: cluster work
-//! opens an item-indexed `shard.cluster` span under its dual iteration's
-//! `shard.iteration`, so every span id is the same whichever pool thread
-//! ran which cluster, and no cluster span is left as an orphan root.
+//! Span trees of a parallel branch-and-bound decide are deterministic:
+//! each wave fans its node LPs out over the worker pool, and every node
+//! opens an item-indexed `solver.node_lp` span under its `solver.wave`, so
+//! every span id is the same whichever pool thread ran which node, and no
+//! node span is left as an orphan root.
 //!
 //! This lives in its own integration-test binary because the telemetry
 //! facade is process-global.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use birp_core::{DemandMatrix, ProblemConfig, ShardConfig, ShardCoordinator, TirMatrix};
+use birp_core::{Birp, DemandMatrix, Scheduler, TemporalReuse};
+use birp_mab::MabConfig;
 use birp_models::{AppId, Catalog, EdgeId};
 use birp_solver::SolverConfig;
 use birp_telemetry as telemetry;
@@ -26,23 +28,16 @@ fn field<'a>(fields: &'a [(&'static str, Value)], key: &str) -> &'a Value {
         .unwrap_or_else(|| panic!("span event missing field {key}"))
 }
 
-/// Two slots of a coupled fleet through one coordinator, traced at the
-/// level that adds per-wave and per-node spans. Returns the sorted span
-/// shapes.
+/// Two full-solve slots of a 12-edge fleet under the parallel scheduling
+/// solver, each inside a root span, traced at the level that adds per-wave
+/// and per-node spans. Returns the sorted span shapes.
 fn traced_decides() -> Vec<Shape> {
     let catalog = Catalog::fleet_scale(42, 12);
-    let tir = TirMatrix::oracle(&catalog);
-    let cfg = ProblemConfig::default();
-    let solver = SolverConfig::scheduling();
-    let shard_cfg = ShardConfig {
-        cluster_size: 3,
-        max_iters: 3,
-        gap_tol: 0.0,
-        fallback: true,
-    };
+    let mut birp = Birp::new(catalog.clone(), MabConfig::paper_preset())
+        .with_solver(SolverConfig::scheduling())
+        .with_reuse(TemporalReuse::disabled());
     let sink = Arc::new(MemorySink::new());
     telemetry::init(sink.clone(), Level::Trace);
-    let mut coord = ShardCoordinator::new(&catalog, shard_cfg);
     let mut prev = None;
     for t in 0..2 {
         let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
@@ -50,8 +45,8 @@ fn traced_decides() -> Vec<Shape> {
         for k in 1..catalog.num_edges() {
             demand.set(AppId(0), EdgeId(k), ((k * 5 + t) % 4) as u32);
         }
-        let out = coord.decide(&catalog, t, &demand, &tir, prev.as_ref(), &cfg, &solver);
-        prev = Some(out.schedule);
+        let _decide = telemetry::span("test.decide");
+        prev = Some(birp.decide(t, &demand, prev.as_ref()));
     }
     telemetry::shutdown();
     let mut shapes: Vec<Shape> = sink
@@ -73,13 +68,13 @@ fn traced_decides() -> Vec<Shape> {
 }
 
 #[test]
-fn sharded_decide_span_trees_are_identical_across_runs() {
+fn parallel_decide_span_trees_are_identical_across_runs() {
     let a = traced_decides();
     let b = traced_decides();
-    assert_eq!(a, b, "span trees of two identical sharded decides differ");
+    assert_eq!(a, b, "span trees of two identical decides differ");
 
     // Well-formed: unique ids, every parent recorded, and the two decides
-    // are the only roots (cluster work is never an orphan).
+    // are the only roots (node work on pool threads is never an orphan).
     let ids: BTreeSet<u64> = a.iter().map(|s| s.1).collect();
     assert_eq!(ids.len(), a.len(), "span ids must be unique");
     for (name, _, parent, _) in &a {
@@ -93,26 +88,29 @@ fn sharded_decide_span_trees_are_identical_across_runs() {
         .filter(|s| s.2 == 0)
         .map(|s| s.0.as_str())
         .collect();
-    assert_eq!(roots, ["shard.decide", "shard.decide"]);
+    assert_eq!(roots, ["test.decide", "test.decide"]);
 
-    // Every iteration has one span per cluster, indexed by cluster.
-    let iterations: BTreeSet<u64> = a
+    // Every node span hangs off a wave, and each wave's node spans are
+    // indexed exactly 0..n by wave item.
+    let waves: BTreeSet<u64> = a
         .iter()
-        .filter(|s| s.0 == "shard.iteration")
+        .filter(|s| s.0 == "solver.wave")
         .map(|s| s.1)
         .collect();
-    let clusters: Vec<&Shape> = a.iter().filter(|s| s.0 == "shard.cluster").collect();
-    assert!(!iterations.is_empty(), "no shard.iteration spans recorded");
-    assert_eq!(clusters.len(), 4 * iterations.len());
-    for c in &clusters {
+    let mut seqs: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for node in a.iter().filter(|s| s.0 == "solver.node_lp") {
         assert!(
-            iterations.contains(&c.2),
-            "shard.cluster must parent to shard.iteration"
+            waves.contains(&node.2),
+            "solver.node_lp must parent to solver.wave"
         );
-        assert!(c.3 < 4, "cluster index {} out of range", c.3);
+        seqs.entry(node.2).or_default().push(node.3);
+    }
+    for (wave, s) in seqs.iter_mut() {
+        s.sort_unstable();
+        assert_eq!(*s, (0..s.len() as u64).collect::<Vec<_>>(), "wave {wave}");
     }
     assert!(
-        a.iter().any(|s| s.0 == "problem.guide_lp"),
-        "the coupled slots should take the guided fallback"
+        seqs.values().any(|s| s.len() >= 2),
+        "no wave fanned out more than one node"
     );
 }

@@ -246,8 +246,8 @@ impl Catalog {
         cat
     }
 
-    /// Fleet-scale scenario for sharded-decomposition experiments: the
-    /// small-scale app/model zoo replicated across `num_edges` devices
+    /// Fleet-scale scenario (the end-to-end benchmark's 1000-edge fleet):
+    /// the small-scale app/model zoo replicated across `num_edges` devices
     /// cycling through the three testbed kinds. Edges keep per-id
     /// bandwidth draws, so two instances of a kind still differ in their
     /// network budgets exactly as in [`Catalog::small_scale`].
@@ -268,38 +268,6 @@ impl Catalog {
                 )
             })
             .collect();
-        debug_assert!(cat.validate().is_ok());
-        cat
-    }
-
-    /// Sub-catalog over a contiguous edge range, for cluster subproblems.
-    ///
-    /// Edges are copied verbatim (same ground truth, gamma, utilisation
-    /// and — critically — the same per-original-id bandwidth draw) and
-    /// only re-indexed densely, so a cluster's rows are bitwise the rows
-    /// the same edges produce in the monolithic problem.
-    pub fn restrict_edges(&self, range: std::ops::Range<usize>) -> Catalog {
-        assert!(
-            range.end <= self.edges.len(),
-            "restrict_edges: range {range:?} exceeds {} edges",
-            self.edges.len()
-        );
-        let edges = self.edges[range]
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let mut e = e.clone();
-                e.id = EdgeId(i);
-                e
-            })
-            .collect();
-        let cat = Catalog {
-            apps: self.apps.clone(),
-            models: self.models.clone(),
-            edges,
-            slot_ms: self.slot_ms,
-            seed: self.seed,
-        };
         debug_assert!(cat.validate().is_ok());
         cat
     }
@@ -626,25 +594,6 @@ mod tests {
         let small = Catalog::small_scale(42);
         for i in 0..6 {
             assert_eq!(c.edges[i].kind, small.edges[i].kind);
-        }
-    }
-
-    #[test]
-    fn restrict_edges_copies_edges_verbatim() {
-        let c = Catalog::small_scale(42);
-        let sub = c.restrict_edges(2..5);
-        assert_eq!(sub.num_edges(), 3);
-        sub.validate().unwrap();
-        for (i, e) in sub.edges.iter().enumerate() {
-            let orig = &c.edges[2 + i];
-            assert_eq!(e.id, EdgeId(i));
-            assert_eq!(e.kind, orig.kind);
-            assert_eq!(e.gamma_ms, orig.gamma_ms);
-            // Bandwidth must be the ORIGINAL edge's draw (seeded on the
-            // original id), not a fresh draw on the dense sub-index.
-            assert_eq!(e.bandwidth_mbps, orig.bandwidth_mbps);
-            assert_eq!(e.network_budget_mb, orig.network_budget_mb);
-            assert_eq!(e.memory_mb, orig.memory_mb);
         }
     }
 }

@@ -323,35 +323,21 @@ fn note_incumbent(
 
 /// Solve the MILP by branch and bound.
 pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
-    search(original, cfg, None::<fn() -> Option<Vec<f64>>>)
-}
-
-/// [`branch_and_bound`] with the warm start computed by `warm` instead of
-/// read from [`BnbConfig::warm_start`], which is ignored. Presolve and the
-/// root LP never read the warm start, so `warm` runs beside them under
-/// [`rayon::join`]; the search then validates and installs its point
-/// exactly as it would a precomputed one. The result equals
-/// `branch_and_bound` with `warm_start: warm()`.
-pub fn branch_and_bound_with_warm<W>(original: &MilpProblem, cfg: &BnbConfig, warm: W) -> MilpResult
-where
-    W: FnOnce() -> Option<Vec<f64>> + Send,
-{
-    search(original, cfg, Some(warm))
-}
-
-/// The presolved problem, its root node and the root LP solution with the
-/// engine snapshot the root's children warm-start from.
-type RootSolve = (
-    MilpProblem,
-    Node,
-    crate::lp::LpSolution,
-    Option<Arc<EngineSnapshot>>,
-);
-
-/// Presolve, then solve the root LP relaxation: the front of the search
-/// that does not depend on the warm start. `Err` is the final result when
-/// presolve proves the problem infeasible.
-fn presolve_and_root(original: &MilpProblem, cfg: &BnbConfig) -> Result<RootSolve, MilpResult> {
+    let _solve_span = telemetry::span("solver.solve");
+    telemetry::counter("solver.solves", 1);
+    // Effective budgets: the node limit folds into the classic knob, pivots
+    // and the (optional, nondeterministic) deadline are checked at node
+    // boundaries alongside it.
+    let node_limit = cfg
+        .node_limit
+        .min(cfg.budget.max_nodes.unwrap_or(usize::MAX));
+    let budget_clock = cfg
+        .budget
+        .deadline_ms
+        .is_some()
+        .then(std::time::Instant::now);
+    let mut pivots_total = 0u64;
+    let mut budget_hit = false;
     // Presolve never removes columns, so indices and solutions line up with
     // the caller's problem; it only tightens bounds and drops rows, which
     // shrinks every node LP.
@@ -376,7 +362,7 @@ fn presolve_and_root(original: &MilpProblem, cfg: &BnbConfig) -> Result<RootSolv
             );
         }
         if status == crate::presolve::PresolveStatus::Infeasible {
-            return Err(MilpResult {
+            return MilpResult {
                 status: MilpStatus::Infeasible,
                 objective: f64::INFINITY,
                 x: Vec::new(),
@@ -386,7 +372,7 @@ fn presolve_and_root(original: &MilpProblem, cfg: &BnbConfig) -> Result<RootSolv
                 degraded: false,
                 incumbents: Vec::new(),
                 root_dive: RootDive::NotRun,
-            });
+            };
         }
     }
     let root = Node {
@@ -398,45 +384,6 @@ fn presolve_and_root(original: &MilpProblem, cfg: &BnbConfig) -> Result<RootSolv
     let (root_sol, root_snap) = {
         let _root_span = telemetry::span("solver.root_lp");
         solve_node_lp(&reduced.lp, &root, &cfg.simplex, cfg.warm_nodes)
-    };
-    Ok((reduced, root, root_sol, root_snap))
-}
-
-/// The search behind both entry points. `deferred_warm`, when given,
-/// replaces `cfg.warm_start` and runs beside presolve and the root LP.
-fn search<W>(original: &MilpProblem, cfg: &BnbConfig, deferred_warm: Option<W>) -> MilpResult
-where
-    W: FnOnce() -> Option<Vec<f64>> + Send,
-{
-    let _solve_span = telemetry::span("solver.solve");
-    telemetry::counter("solver.solves", 1);
-    // Effective budgets: the node limit folds into the classic knob, pivots
-    // and the (optional, nondeterministic) deadline are checked at node
-    // boundaries alongside it.
-    let node_limit = cfg
-        .node_limit
-        .min(cfg.budget.max_nodes.unwrap_or(usize::MAX));
-    let budget_clock = cfg
-        .budget
-        .deadline_ms
-        .is_some()
-        .then(std::time::Instant::now);
-    let mut pivots_total = 0u64;
-    let mut budget_hit = false;
-    let (front, deferred) = match deferred_warm {
-        Some(warm) => {
-            let (front, ws) = rayon::join(|| presolve_and_root(original, cfg), warm);
-            (front, Some(ws))
-        }
-        None => (presolve_and_root(original, cfg), None),
-    };
-    let (reduced, root, root_sol, root_snap) = match front {
-        Ok(front) => front,
-        Err(result) => return result,
-    };
-    let warm_start = match &deferred {
-        Some(ws) => ws.as_ref(),
-        None => cfg.warm_start.as_ref(),
     };
     let problem = &reduced;
     let n = problem.lp.num_cols();
@@ -451,7 +398,7 @@ where
     let mut warm_installed = false;
 
     // Install a validated warm start as the initial incumbent.
-    if let Some(ws) = warm_start {
+    if let Some(ws) = &cfg.warm_start {
         let mut installed = false;
         if ws.len() == n {
             let integral = problem

@@ -14,8 +14,7 @@ use crate::error::SolverError;
 use crate::expr::{LinExpr, VarId, VarKind};
 use crate::lp::{LpProblem, LpSolution, RowCmp};
 use crate::milp::{
-    branch_and_bound, branch_and_bound_with_warm, BnbConfig, MilpProblem, MilpResult, MilpStatus,
-    RootDive, SolveBudget,
+    branch_and_bound, BnbConfig, MilpProblem, MilpResult, MilpStatus, RootDive, SolveBudget,
 };
 use crate::simplex::{solve_bounded, SimplexOptions};
 
@@ -455,25 +454,6 @@ impl Model {
             ..Self::bnb_config(cfg)
         };
         Self::solution(branch_and_bound(&milp, &bnb))
-    }
-
-    /// [`solve_warm`](Self::solve_warm) with the warm start computed by
-    /// `warm` from the lowered LP relaxation (the problem
-    /// [`solve_relaxation`](Self::solve_relaxation) solves). The model is
-    /// lowered once, and `warm` runs beside presolve and the root LP (see
-    /// [`branch_and_bound_with_warm`]); the result equals `solve_warm`
-    /// with the point `warm` returns.
-    pub fn solve_warm_with<W>(&self, cfg: &SolverConfig, warm: W) -> Result<Solution, SolverError>
-    where
-        W: FnOnce(&LpProblem) -> Option<Vec<f64>> + Send,
-    {
-        let milp = self.to_milp()?;
-        let lp = &milp.lp;
-        Self::solution(branch_and_bound_with_warm(
-            &milp,
-            &Self::bnb_config(cfg),
-            || warm(lp),
-        ))
     }
 
     fn bnb_config(cfg: &SolverConfig) -> BnbConfig {
