@@ -6,12 +6,8 @@
 //!                 [--checkpoint run.ckpt] [--checkpoint-every N] [--out result.json]
 //! birp resume     <run.ckpt> [--checkpoint-every N] [--out result.json]
 //! birp chaos      [--slots N] [--seed S] [--kills N] [--out report.json]
-//! birp compare    [--scale small|large] [--slots N] [--seed S] [--faults plan.json] [--resilience on|off]
-//!                 [--dense-simplex]
 //! birp resilience [--slots N] [--seed S] [--smoke] [--out result.json]
-//! birp sweep      [--slots N] [--seed S]
-//! birp table1     [--windows N] [--seed S]
-//! birp fig2       [--reps N] [--seed S]
+//! birp repro      <figure> [--seed S] [--slots N|--windows N|--reps N] [--out results/<figure>.json]
 //! birp trace      [--scale small|large] [--slots N] [--seed S] [--csv|--json]
 //! birp report     <run.jsonl>
 //! birp profile    <run.jsonl> [--out-dir DIR]
@@ -24,6 +20,11 @@
 //! on` enables the failure detector / quarantine-and-reroute layer
 //! (DESIGN.md §10). `birp resilience` runs the canned three-way
 //! BIRP ± resilience experiment and optionally writes its JSON record.
+//!
+//! `birp repro <table1|fig2|fig4|fig5|fig6|fig7|headline>` regenerates one
+//! table or figure of the paper at paper size: it prints the paper's rows and
+//! writes the JSON record to `--out` (default `results/<figure>.json`).
+//! `fig6` and `fig7` also take the robustness flags of `run`.
 //!
 //! `--checkpoint` makes `birp run` crash-safe (DESIGN.md §12): the full run
 //! state is written atomically every `--checkpoint-every` slots (default 10)
@@ -51,7 +52,9 @@
 //!
 //! Argument parsing is hand-rolled over `std::env::args` — the workspace
 //! deliberately keeps its dependency set to the paper-relevant crates
-//! (DESIGN.md, dependency section).
+//! (DESIGN.md, dependency section). Each command declares the flags it
+//! reads; an unknown flag, a missing value or a number that does not parse
+//! exits 2 and names the flag.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -61,8 +64,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use birp_telemetry as telemetry;
 
 use birp_core::experiments::{
-    chaos_experiment, compare_schedulers, epsilon_sweep, fig2_experiment, resilience_experiment,
-    table1_experiment, ChaosConfig, ComparisonConfig, ResilienceConfig, SchedulerKind, SweepConfig,
+    chaos_experiment, resilience_experiment, ChaosConfig, ComparisonConfig, ResilienceConfig,
+    SchedulerKind,
 };
 use birp_core::{
     checkpoint, run_scheduler, run_scheduler_resumable, CheckpointPolicy, HealthConfig, RunConfig,
@@ -74,6 +77,8 @@ use birp_solver::simplex::SimplexMode;
 use birp_solver::SolverConfig;
 use birp_workload::{io as trace_io, TraceConfig, TraceStats};
 use serde::{Deserialize, Serialize, Value};
+
+mod repro;
 
 /// Cooperative shutdown flag raised by SIGTERM/SIGINT when checkpointing is
 /// active — the runner observes it at the next slot boundary, saves, and
@@ -117,31 +122,135 @@ struct RunSpec {
     faults: Value,
 }
 
+/// The flags every command accepts.
+const GLOBAL_FLAGS: [&str; 2] = ["telemetry", "log-level"];
+
+/// Flags that take no value; every other flag takes one.
+const SWITCHES: [&str; 7] = [
+    "no-reuse",
+    "dense-simplex",
+    "smoke",
+    "csv",
+    "json",
+    "check",
+    "update-golden",
+];
+
+/// Flags whose value must parse as a non-negative integer.
+const INTEGER_FLAGS: [&str; 7] = [
+    "slots",
+    "seed",
+    "checkpoint-every",
+    "kills",
+    "windows",
+    "reps",
+    "oracle",
+];
+
+/// Flags whose value must parse as a number.
+const NUMBER_FLAGS: [&str; 1] = ["tolerance"];
+
+/// The number of operands `cmd` takes and the flags it reads besides
+/// [`GLOBAL_FLAGS`]; `None` for an unknown command or `repro` figure.
+fn command_spec(cmd: &str, operand: Option<&str>) -> Option<(usize, Vec<&'static str>)> {
+    // `run`'s robustness flags, which `repro fig6|fig7` also takes.
+    const ROBUSTNESS: [&str; 4] = ["faults", "resilience", "no-reuse", "dense-simplex"];
+    let (operands, flags): (usize, &[&[&str]]) = match cmd {
+        "run" => (
+            0,
+            &[
+                &[
+                    "scale",
+                    "slots",
+                    "seed",
+                    "scheduler",
+                    "checkpoint",
+                    "checkpoint-every",
+                    "out",
+                ],
+                &ROBUSTNESS,
+            ],
+        ),
+        "resume" => (1, &[&["checkpoint-every", "out"]]),
+        "chaos" => (0, &[&["slots", "seed", "kills", "out"]]),
+        "resilience" => (0, &[&["slots", "seed", "smoke", "out"]]),
+        "repro" => match operand? {
+            "table1" => (1, &[&["seed", "windows", "out"]]),
+            "fig2" => (1, &[&["seed", "reps", "out"]]),
+            "fig4" | "fig5" | "headline" => (1, &[&["seed", "slots", "out"]]),
+            "fig6" | "fig7" => (1, &[&["seed", "slots", "out"], &ROBUSTNESS]),
+            _ => return None,
+        },
+        "trace" => (0, &[&["scale", "slots", "seed", "csv", "json"]]),
+        "report" => (1, &[]),
+        "profile" => (1, &[&["out-dir"]]),
+        "bench-diff" => (
+            0,
+            &[&[
+                "solver-bench",
+                "runner-json",
+                "baseline-solver",
+                "baseline-runner",
+                "tolerance",
+            ]],
+        ),
+        "conformance" => (0, &[&["check", "update-golden", "oracle", "seed"]]),
+        _ => return None,
+    };
+    Some((operands, flags.concat()))
+}
+
 struct Args {
     flags: HashMap<String, String>,
     switches: Vec<String>,
+    operands: Vec<String>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut flags = HashMap::new();
-        let mut switches = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let a = &raw[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if i + 1 < raw.len() && !raw[i + 1].starts_with("--") {
-                    flags.insert(name.to_string(), raw[i + 1].clone());
-                    i += 2;
-                } else {
-                    switches.push(name.to_string());
-                    i += 1;
+    /// Split `raw` into at most `operands` operands and the flags of
+    /// `allowed` and [`GLOBAL_FLAGS`]. Any other argument, a missing value
+    /// or a number that does not parse is an error that names it.
+    fn parse(raw: &[String], operands: usize, allowed: &[&str]) -> Result<Args, String> {
+        let mut args = Args {
+            flags: HashMap::new(),
+            switches: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut raw = raw.iter();
+        while let Some(a) = raw.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                if args.operands.len() == operands {
+                    return Err(format!("unexpected argument '{a}'"));
                 }
-            } else {
-                i += 1;
+                args.operands.push(a.clone());
+                continue;
+            };
+            if !allowed.contains(&name) && !GLOBAL_FLAGS.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
             }
+            if SWITCHES.contains(&name) {
+                args.switches.push(name.to_string());
+                continue;
+            }
+            let value = match raw.next() {
+                Some(v) if !v.starts_with("--") => v,
+                _ => return Err(format!("--{name} needs a value")),
+            };
+            if INTEGER_FLAGS.contains(&name) && value.parse::<u64>().is_err() {
+                return Err(format!(
+                    "--{name} takes a non-negative integer, got '{value}'"
+                ));
+            }
+            if NUMBER_FLAGS.contains(&name) && value.parse::<f64>().is_err() {
+                return Err(format!("--{name} takes a number, got '{value}'"));
+            }
+            args.flags.insert(name.to_string(), value.clone());
         }
-        Args { flags, switches }
+        Ok(args)
+    }
+
+    fn operand(&self) -> Option<&str> {
+        self.operands.first().map(String::as_str)
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -149,9 +258,10 @@ impl Args {
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.get(name).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| unreachable!("Args::parse checks --{name} is a number"))
+        })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -168,11 +278,8 @@ USAGE:
                     [--checkpoint run.ckpt] [--checkpoint-every N] [--out result.json]
     birp resume     <run.ckpt> [--checkpoint-every N] [--out result.json]
     birp chaos      [--slots N] [--seed S] [--kills N] [--out report.json]
-    birp compare    [--scale small|large] [--slots N] [--seed S]
     birp resilience [--slots N] [--seed S] [--smoke] [--out result.json]
-    birp sweep      [--slots N] [--seed S]
-    birp table1     [--windows N] [--seed S]
-    birp fig2       [--reps N] [--seed S]
+    birp repro      <figure> [--out results/<figure>.json]   (see REPRO below)
     birp trace      [--scale small|large] [--slots N] [--seed S] [--csv] [--json]
                     (dumps the synthetic *workload* trace; for telemetry/execution
                     traces see --telemetry with `report` / `profile` below)
@@ -186,7 +293,16 @@ CONFORMANCE:
     --update-golden  regenerate the committed snapshots from the current implementation
     --oracle N       differentially check N random tiny instances against the brute-force oracle
 
-ROBUSTNESS (run / compare):
+REPRO (paper figures at paper size, each written to results/<figure>.json):
+    birp repro table1    [--seed S] [--windows N]   Table 1 utilisation + FPS
+    birp repro fig2      [--seed S] [--reps N]      Fig. 2 TIR fits
+    birp repro fig4      [--seed S] [--slots N]     Fig. 4 eps grid -> dLoss
+    birp repro fig5      [--seed S] [--slots N]     Fig. 5 eps grid -> p%
+    birp repro fig6      [--seed S] [--slots N]     Fig. 6 small-scale CDF / loss (+ ROBUSTNESS)
+    birp repro fig7      [--seed S] [--slots N]     Fig. 7 large-scale CDF / loss (+ ROBUSTNESS)
+    birp repro headline  [--seed S] [--slots N]     Section 5.4 claims from the Fig. 6/7 runs
+
+ROBUSTNESS (run / repro fig6|fig7):
     --faults <plan.json>       inject a serialized FaultPlan into the executor
     --resilience on|off        failure detector + quarantine-and-reroute (default: off)
     --no-reuse                 disable cross-slot temporal reuse (warm-start install,
@@ -302,6 +418,21 @@ fn solver_for(scale: &str, dense_simplex: bool) -> SolverConfig {
     solver
 }
 
+/// Write `value` as pretty JSON to `out`, when given; a failed write is
+/// reported and exits 1.
+fn write_json<T: Serialize + ?Sized>(out: Option<&str>, value: &T) -> Result<(), ExitCode> {
+    let Some(out) = out else {
+        return Ok(());
+    };
+    let json = serde_json::to_string_pretty(value).expect("serializable");
+    std::fs::write(out, json).map_err(|e| {
+        eprintln!("cannot write {out}: {e}");
+        ExitCode::from(1)
+    })?;
+    println!("wrote {out}");
+    Ok(())
+}
+
 fn print_run_result(result: &RunResult) {
     let m = &result.metrics;
     println!("scheduler      {}", result.scheduler);
@@ -338,13 +469,8 @@ fn finish_resumable(
     match outcome {
         Ok(RunOutcome::Complete(result)) => {
             print_run_result(&result);
-            if let Some(out) = args.get("out") {
-                let json = serde_json::to_string_pretty(&*result).expect("serializable");
-                if let Err(e) = std::fs::write(out, json) {
-                    eprintln!("cannot write {out}: {e}");
-                    return ExitCode::from(1);
-                }
-                println!("wrote {out}");
+            if let Err(code) = write_json(args.get("out"), &*result) {
+                return code;
             }
             ExitCode::SUCCESS
         }
@@ -370,16 +496,6 @@ fn finish_resumable(
 const REMOVED_SHARD_KEYS: [&str; 2] = ["shards", "cluster_size"];
 
 fn cmd_run(args: &Args) -> ExitCode {
-    for key in REMOVED_SHARD_KEYS {
-        let flag = key.replace('_', "-");
-        if args.get(&flag).is_some() || args.has(&flag) {
-            eprintln!(
-                "--{flag} was removed with the sharded decide (DESIGN.md §14); \
-                 every slot is one monolithic solve"
-            );
-            return ExitCode::from(2);
-        }
-    }
     let scale = args.get("scale").unwrap_or("small").to_string();
     let seed = args.num("seed", 42u64);
     let slots = args.num("slots", 48usize);
@@ -407,13 +523,8 @@ fn cmd_run(args: &Args) -> ExitCode {
         // No durability requested: the plain, non-resumable path.
         let result = run_scheduler(&catalog, &trace, scheduler.as_mut(), &run_cfg);
         print_run_result(&result);
-        if let Some(out) = args.get("out") {
-            let json = serde_json::to_string_pretty(&result).expect("serializable");
-            if let Err(e) = std::fs::write(out, json) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::from(1);
-            }
-            println!("wrote {out}");
+        if let Err(code) = write_json(args.get("out"), &result) {
+            return code;
         }
         return ExitCode::SUCCESS;
     };
@@ -446,19 +557,8 @@ fn cmd_run(args: &Args) -> ExitCode {
     finish_resumable(args, &ckpt_path, outcome)
 }
 
-fn cmd_resume(args: &Args, rest: &[String]) -> ExitCode {
-    // First positional operand (skipping --flag value pairs).
-    let mut path: Option<&str> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&rest[i]);
-            break;
-        }
-    }
-    let Some(path) = path else {
+fn cmd_resume(args: &Args) -> ExitCode {
+    let Some(path) = args.operand() else {
         eprintln!("usage: birp resume <run.ckpt> [--checkpoint-every N] [--out result.json]");
         return ExitCode::from(2);
     };
@@ -567,13 +667,8 @@ fn cmd_chaos(args: &Args) -> ExitCode {
             leg.detail
         );
     }
-    if let Some(out) = args.get("out") {
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(1);
-        }
-        println!("wrote {out}");
+    if let Err(code) = write_json(args.get("out"), &report) {
+        return code;
     }
     if report.all_passed() {
         println!("\nchaos harness: every leg held");
@@ -582,35 +677,6 @@ fn cmd_chaos(args: &Args) -> ExitCode {
         eprintln!("\nchaos harness: crash-safety contract BROKEN (see FAILED legs)");
         ExitCode::from(1)
     }
-}
-
-fn cmd_compare(args: &Args) -> ExitCode {
-    let scale = args.get("scale").unwrap_or("small").to_string();
-    let seed = args.num("seed", 42u64);
-    let slots = args.num("slots", 48usize);
-    let mut cfg = match scale.as_str() {
-        "large" => ComparisonConfig::large_scale(seed, slots),
-        _ => ComparisonConfig::small_scale(seed, slots),
-    };
-    if let Err(code) = apply_robustness(args, &mut cfg.run) {
-        return code;
-    }
-    if args.has("dense-simplex") {
-        cfg.solver.simplex.mode = SimplexMode::Dense;
-    }
-    let results = compare_schedulers(&cfg);
-    println!(
-        "{:<10} {:>12} {:>8} {:>9} {:>9}",
-        "scheduler", "total loss", "p%", "served", "dropped"
-    );
-    for r in &results {
-        let m = &r.run.metrics;
-        println!(
-            "{:<10} {:>12.1} {:>7.2}% {:>9} {:>9}",
-            r.run.scheduler, m.total_loss, m.failure_rate_pct, m.served, m.dropped
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_resilience(args: &Args) -> ExitCode {
@@ -643,65 +709,55 @@ fn cmd_resilience(args: &Args) -> ExitCode {
             .map_or("never".to_string(), |l| l.to_string())
     );
     println!("false positives    {}", r.false_positive_quarantines);
-    if let Some(out) = args.get("out") {
-        let json = serde_json::to_string_pretty(&r).expect("serializable");
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(1);
-        }
-        println!("wrote {out}");
+    if let Err(code) = write_json(args.get("out"), &r) {
+        return code;
     }
     ExitCode::SUCCESS
 }
 
-fn cmd_sweep(args: &Args) -> ExitCode {
+/// `birp repro <figure>`: run one figure at its paper-size defaults
+/// (`--seed`, `--slots`, `--windows` and `--reps` override them), print its
+/// rows and write its JSON record.
+fn cmd_repro(args: &Args) -> ExitCode {
+    let figure = args
+        .operand()
+        .expect("command_spec admits repro only with a figure");
+    let default_out = format!("results/{figure}.json");
+    let out = Some(args.get("out").unwrap_or(&default_out));
     let seed = args.num("seed", 42u64);
-    let slots = args.num("slots", 48usize);
-    let cfg = SweepConfig::quick(seed, slots);
-    let result = epsilon_sweep(&cfg);
-    println!(
-        "{:>6} {:>6} {:>12} {:>8}",
-        "eps1", "eps2", "dLoss(end)", "p%(end)"
-    );
-    for p in &result.points {
-        let d = p.delta_loss.last().map_or(f64::NAN, |&(_, v)| v);
-        let f = p.failure_pct.last().map_or(f64::NAN, |&(_, v)| v);
-        println!("{:>6.2} {:>6.2} {:>12.2} {:>8.2}", p.eps1, p.eps2, d, f);
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_table1(args: &Args) -> ExitCode {
-    let seed = args.num("seed", 3u64);
-    let windows = args.num("windows", 300usize);
-    println!(
-        "{:<10} {:<12} {:>7} {:>7} {:>9} {:>8}",
-        "model", "device", "cpu%", "gpu%", "npucore%", "fps"
-    );
-    for r in table1_experiment(seed, windows) {
-        println!(
-            "{:<10} {:<12} {:>7.1} {:>7.1} {:>9.1} {:>8.1}",
-            r.model,
-            r.device,
-            r.measured.cpu_pct,
-            r.measured.gpu_pct,
-            r.measured.npu_core_pct,
-            r.measured.avg_fps
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_fig2(args: &Args) -> ExitCode {
-    let seed = args.num("seed", 11u64);
-    let reps = args.num("reps", 5usize);
-    for r in fig2_experiment(seed, 16, reps) {
-        println!(
-            "{:<10} TIR = b^{:.2} (b <= {}), {:.2} beyond   [truth b^{:.2}, {}]",
-            r.model, r.fit.params.eta, r.fit.params.beta, r.fit.params.c, r.truth.eta, r.truth.beta
-        );
-    }
-    ExitCode::SUCCESS
+    let slots = args.num("slots", 300usize);
+    let written = match figure {
+        "table1" => {
+            let rows = repro::table1(args.num("seed", 3), args.num("windows", 1000));
+            write_json(out, &rows)
+        }
+        "fig2" => match args.num("reps", 5) {
+            0 => {
+                eprintln!("birp repro: --reps must be positive");
+                return ExitCode::from(2);
+            }
+            reps => write_json(out, &repro::fig2(args.num("seed", 11), reps)),
+        },
+        "fig4" => write_json(out, &repro::sweep(figure, seed, args.num("slots", 101))),
+        "fig5" => write_json(out, &repro::sweep(figure, seed, slots)),
+        "fig6" | "fig7" => {
+            let mut cfg = if figure == "fig6" {
+                ComparisonConfig::small_scale(seed, slots)
+            } else {
+                ComparisonConfig::large_scale(seed, slots)
+            };
+            if let Err(code) = apply_robustness(args, &mut cfg.run) {
+                return code;
+            }
+            if args.has("dense-simplex") {
+                cfg.solver.simplex.mode = SimplexMode::Dense;
+            }
+            write_json(out, &repro::comparison(figure, &cfg))
+        }
+        "headline" => write_json(out, &repro::headline(seed, slots)[..]),
+        _ => unreachable!("command_spec admits only the figures above"),
+    };
+    written.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 fn cmd_trace(args: &Args) -> ExitCode {
@@ -730,19 +786,8 @@ fn cmd_trace(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_report(rest: &[String]) -> ExitCode {
-    // First positional operand (skipping --flag value pairs).
-    let mut path: Option<&str> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&rest[i]);
-            break;
-        }
-    }
-    let Some(path) = path else {
+fn cmd_report(args: &Args) -> ExitCode {
+    let Some(path) = args.operand() else {
         eprintln!("usage: birp report <run.jsonl>");
         return ExitCode::from(2);
     };
@@ -829,21 +874,10 @@ fn cmd_report(rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_profile(args: &Args, rest: &[String]) -> ExitCode {
+fn cmd_profile(args: &Args) -> ExitCode {
     use telemetry::profile;
 
-    // First positional operand (skipping --flag value pairs).
-    let mut path: Option<&str> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&rest[i]);
-            break;
-        }
-    }
-    let Some(path) = path else {
+    let Some(path) = args.operand() else {
         eprintln!("usage: birp profile <run.jsonl> [--out-dir DIR]");
         return ExitCode::from(2);
     };
@@ -1041,14 +1075,8 @@ fn cmd_conformance(args: &Args) -> ExitCode {
     }
 
     // Optional differential smoke against the brute-force oracle.
-    if let Some(n) = args.get("oracle") {
-        let n: usize = match n.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--oracle takes a case count, got '{n}'");
-                return ExitCode::from(2);
-            }
-        };
+    if args.get("oracle").is_some() {
+        let n = args.num("oracle", 0usize);
         let seed = args.num("seed", 42u64);
         let mut rng = proptest::TestRng::from_name(&format!("birp-conformance-cli-{seed}"));
         let cfg = SolverConfig {
@@ -1105,10 +1133,20 @@ fn cmd_conformance(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
+    let Some((cmd, rest)) = raw.split_first() else {
         return usage();
     };
-    let args = Args::parse(&raw[1..]);
+    // `repro` takes its figure, which decides its flags, first.
+    let Some((operands, flags)) = command_spec(cmd, rest.first().map(String::as_str)) else {
+        return usage();
+    };
+    let args = match Args::parse(rest, operands, &flags) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("birp {cmd}: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if let Some(path) = args.get("telemetry") {
         let level = args
             .get("log-level")
@@ -1127,19 +1165,16 @@ fn main() -> ExitCode {
     }
     let code = match cmd.as_str() {
         "run" => cmd_run(&args),
-        "resume" => cmd_resume(&args, &raw[1..]),
+        "resume" => cmd_resume(&args),
         "chaos" => cmd_chaos(&args),
-        "compare" => cmd_compare(&args),
         "resilience" => cmd_resilience(&args),
-        "sweep" => cmd_sweep(&args),
-        "table1" => cmd_table1(&args),
-        "fig2" => cmd_fig2(&args),
+        "repro" => cmd_repro(&args),
         "trace" => cmd_trace(&args),
-        "report" => cmd_report(&raw[1..]),
-        "profile" => cmd_profile(&args, &raw[1..]),
+        "report" => cmd_report(&args),
+        "profile" => cmd_profile(&args),
         "bench-diff" => cmd_bench_diff(&args),
         "conformance" => cmd_conformance(&args),
-        _ => usage(),
+        _ => unreachable!("command_spec admits only the commands above"),
     };
     // Flush + append the telemetry.summary record (no-op when disabled).
     telemetry::shutdown();

@@ -1,7 +1,7 @@
 //! One entry point per paper table / figure.
 //!
-//! Every function returns a serialisable record; the `birp-bench` crate's
-//! `repro-*` binaries print them as the rows/series the paper reports, and
+//! Every function returns a serialisable record; `birp repro <figure>` (the
+//! `birp-cli` crate) prints them as the rows/series the paper reports, and
 //! the integration tests assert the qualitative claims on scaled-down runs.
 //!
 //! | module | reproduces |

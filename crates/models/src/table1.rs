@@ -5,7 +5,7 @@
 //!
 //! 1. the simulator's utilisation model is calibrated against them
 //!    (mean utilisation + measurement noise), and
-//! 2. the `repro-table1` harness re-measures them in simulation and checks
+//! 2. `birp repro table1` re-measures them in simulation and checks
 //!    the motivating observation — no accelerator exceeds ~75 % utilisation
 //!    on small models — still holds.
 
