@@ -25,15 +25,6 @@
 //! fixed per-save cost against almost no work. The acceptance bar is ≤ 3%
 //! run overhead; `birp bench-diff` enforces it as an absolute bound on the
 //! fresh record.
-//!
-//! A fifth pass measures the incremental re-solve layer (DESIGN.md §13):
-//! a drift-only 64-slot sequence in the skip-heavy regime (tight pivot
-//! budget, long skip streak — the regime where per-slot model construction
-//! dominates decide), persistent slot model refreshed with typed deltas vs
-//! lowered from scratch every slot. The two variants must make bitwise-
-//! identical decisions (asserted on total loss); the acceptance bar is a
-//! ≥ 1.5× mean decide improvement with the delta path on, enforced by
-//! `birp bench-diff` as an absolute bound on the fresh record.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,7 +36,7 @@ use birp_core::{
 use birp_mab::MabConfig;
 use birp_models::Catalog;
 use birp_sim::{Schedule, SlotOutcome};
-use birp_solver::{SolveBudget, SolverConfig};
+use birp_solver::SolverConfig;
 use birp_telemetry as telemetry;
 use birp_workload::{Trace, TraceConfig};
 use serde::Serialize;
@@ -57,17 +48,6 @@ const REPS: usize = 5;
 /// Slots for the checkpoint-overhead pass (Fig. 7 large scale, ~10 ms/slot):
 /// two periodic saves at `--checkpoint-every 10` land inside the horizon.
 const CKPT_SLOTS: usize = 24;
-/// Slots for the delta-path pass: long enough that the one unavoidable
-/// first-slot full lowering is noise against the drift-only refreshes.
-const DELTA_SLOTS: usize = 64;
-/// Skip streak for the delta-path pass: with the tight pivot budget below,
-/// the solver stays in the heuristic regime and almost every slot is a lean
-/// refresh — the regime where per-slot model construction is the dominant
-/// decide cost and the delta path has something to win.
-const DELTA_SKIP_STREAK: usize = 16;
-/// Pivot budget forcing degraded (budget-truncated) solves so the
-/// heuristic-regime skip actually fires on the small-scale workload.
-const DELTA_MAX_PIVOTS: u64 = 40;
 
 /// Times every `decide` call, delegating everything else unchanged.
 struct TimedDecide<S> {
@@ -103,40 +83,6 @@ fn run_once(catalog: &Catalog, trace: &Trace, reuse: TemporalReuse) -> (f64, f64
     let mut timed = TimedDecide {
         inner: Birp::new(catalog.clone(), MabConfig::paper_preset())
             .with_solver(SolverConfig::scheduling())
-            .with_reuse(reuse),
-        total_ms: 0.0,
-        calls: 0,
-    };
-    let result = run_scheduler(catalog, trace, &mut timed, &RunConfig::default());
-    (
-        timed.total_ms / timed.calls.max(1) as f64,
-        result.metrics.total_loss,
-    )
-}
-
-/// One drift-regime run for the delta-path pass (DESIGN.md §13): tight
-/// pivot budget + long skip streak keep the scheduler on lean refreshes,
-/// with the persistent slot model either absorbing each slot as typed
-/// deltas (`deltas: true`) or lowering from scratch every slot
-/// (`deltas: false`, the pre-delta decision path). Returns
-/// (mean decide ms, total loss); the loss must be bit-identical between the
-/// two variants — the delta path is a build-cost lever, not a policy.
-fn run_drift_once(catalog: &Catalog, trace: &Trace, deltas: bool) -> (f64, f64) {
-    let solver_cfg = SolverConfig {
-        budget: SolveBudget {
-            max_pivots: Some(DELTA_MAX_PIVOTS),
-            ..SolveBudget::default()
-        },
-        ..SolverConfig::scheduling()
-    };
-    let reuse = TemporalReuse {
-        max_skip_streak: DELTA_SKIP_STREAK,
-        deltas,
-        ..TemporalReuse::default()
-    };
-    let mut timed = TimedDecide {
-        inner: Birp::new(catalog.clone(), MabConfig::paper_preset())
-            .with_solver(solver_cfg)
             .with_reuse(reuse),
         total_ms: 0.0,
         calls: 0,
@@ -191,10 +137,6 @@ struct Acceptance {
     /// Absolute bound on `checkpoint_overhead_pct`, enforced by
     /// `birp bench-diff` on the fresh record (not a baseline ratio).
     checkpoint_overhead_max_pct: f64,
-    /// Minimum `delta_speedup` (drift regime, delta path on vs off),
-    /// enforced by `birp bench-diff` on the fresh record.
-    delta_speedup_required: f64,
-    delta_speedup_measured: f64,
 }
 
 #[derive(Serialize)]
@@ -204,13 +146,6 @@ struct Record {
     reuse_off_mean_decide_ms: f64,
     reuse_on_mean_decide_ms: f64,
     speedup: f64,
-    /// Delta-path pass (DESIGN.md §13): mean decide latency on the
-    /// drift-only 64-slot regime with the persistent slot model rebuilt
-    /// from scratch every slot...
-    delta_off_mean_decide_ms: f64,
-    /// ...vs refreshed in place with typed deltas.
-    delta_on_mean_decide_ms: f64,
-    delta_speedup: f64,
     /// Decide-path slowdown with telemetry enabled at the default (`debug`)
     /// level, percent relative to the facade-disabled run.
     telemetry_overhead_pct: f64,
@@ -253,35 +188,6 @@ fn main() {
         on_loss = loss;
     }
     let speedup = off_ms / on_ms;
-
-    // Delta-path pass (DESIGN.md §13): drift-only slot sequence under the
-    // skip-heavy regime, persistent-model refresh on vs scratch lowering
-    // every slot. The decisions must be identical — only the build cost
-    // moves.
-    let delta_trace = TraceConfig {
-        num_slots: DELTA_SLOTS,
-        mean_rate: MEAN_RATE,
-        ..TraceConfig::small_scale(SEED)
-    }
-    .generate();
-    run_drift_once(&catalog, &delta_trace, false); // warm-up
-    let mut delta_off_ms = f64::INFINITY;
-    let mut delta_on_ms = f64::INFINITY;
-    let (mut delta_off_loss, mut delta_on_loss) = (0.0, 0.0);
-    for _ in 0..REPS {
-        let (ms, loss) = run_drift_once(&catalog, &delta_trace, false);
-        delta_off_ms = delta_off_ms.min(ms);
-        delta_off_loss = loss;
-        let (ms, loss) = run_drift_once(&catalog, &delta_trace, true);
-        delta_on_ms = delta_on_ms.min(ms);
-        delta_on_loss = loss;
-    }
-    assert_eq!(
-        delta_off_loss.to_bits(),
-        delta_on_loss.to_bits(),
-        "delta-refreshed and scratch-built runs must make identical decisions"
-    );
-    let delta_speedup = delta_off_ms / delta_on_ms;
 
     // Telemetry overhead: same reuse-on workload with the facade enabled at
     // its default level into a null sink (counters/histograms/events run the
@@ -329,12 +235,6 @@ fn main() {
     println!("reuse off  mean decide {off_ms:.3} ms/slot   total loss {off_loss:.2}");
     println!("reuse on   mean decide {on_ms:.3} ms/slot   total loss {on_loss:.2}");
     println!("speedup    {speedup:.2}x (acceptance: >= 1.5x)");
-    println!(
-        "--- delta path (drift regime, {DELTA_SLOTS} slots, skip streak {DELTA_SKIP_STREAK}) ---"
-    );
-    println!("delta off  mean decide {delta_off_ms:.4} ms/slot");
-    println!("delta on   mean decide {delta_on_ms:.4} ms/slot");
-    println!("speedup    {delta_speedup:.2}x (acceptance: >= 1.5x)");
     println!("telemetry  mean decide {instr_ms:.3} ms/slot at debug level");
     println!("overhead   {overhead_pct:.1}% (acceptance: <= 5%)");
     println!(
@@ -348,10 +248,7 @@ fn main() {
                       (crates/bench/benches/runner_decide.rs), temporal reuse on vs off, same \
                       trace, best of 5 runs. checkpoint_overhead_pct is whole-run wall overhead \
                       of --checkpoint-every 10 durable snapshots on the Fig. 7 large-scale \
-                      workload (24 slots). delta_* is the incremental re-solve pass: mean decide \
-                      on a drift-only 64-slot sequence in the skip-heavy regime (pivot budget 40, \
-                      skip streak 16), persistent slot model refreshed with typed deltas vs \
-                      lowered from scratch every slot, identical decisions asserted.",
+                      workload (24 slots).",
         workload: Workload {
             scale: "small",
             slots: SLOTS,
@@ -361,9 +258,6 @@ fn main() {
         reuse_off_mean_decide_ms: off_ms,
         reuse_on_mean_decide_ms: on_ms,
         speedup,
-        delta_off_mean_decide_ms: delta_off_ms,
-        delta_on_mean_decide_ms: delta_on_ms,
-        delta_speedup,
         telemetry_overhead_pct: overhead_pct,
         checkpoint_overhead_pct: ckpt_overhead_pct,
         total_loss: Losses {
@@ -375,8 +269,6 @@ fn main() {
             decide_speedup_measured: speedup,
             objective_equality: "temporal_differential proptests + reuse-on golden snapshots",
             checkpoint_overhead_max_pct: 3.0,
-            delta_speedup_required: 1.5,
-            delta_speedup_measured: delta_speedup,
         },
     };
     let path = std::env::var("BIRP_BENCH_RUNNER_OUT").unwrap_or_else(|_| {

@@ -9,7 +9,7 @@ use std::hint::black_box;
 use birp_core::{DemandMatrix, ProblemConfig, SlotProblem, TirMatrix};
 use birp_models::{AppId, Catalog, EdgeId};
 use birp_solver::lp::{LpProblem, RowCmp};
-use birp_solver::milp::{branch_and_bound, BnbConfig, MilpProblem};
+use birp_solver::milp::{branch_and_bound, MilpProblem};
 use birp_solver::simplex::{
     solve_bounded, solve_reference, with_engine, SimplexMode, SimplexOptions,
 };
@@ -183,7 +183,7 @@ fn bench_bnb(c: &mut Criterion) {
     for &n in &[12usize, 18, 24] {
         let p = knapsack(n);
         g.bench_function(format!("knapsack_{n}"), |b| {
-            b.iter(|| black_box(branch_and_bound(&p, &BnbConfig::default())))
+            b.iter(|| black_box(branch_and_bound(&p, &SolverConfig::default(), None)))
         });
     }
     let p = knapsack(24);
@@ -191,10 +191,11 @@ fn bench_bnb(c: &mut Criterion) {
         b.iter(|| {
             black_box(branch_and_bound(
                 &p,
-                &BnbConfig {
+                &SolverConfig {
                     parallel: true,
                     ..Default::default()
                 },
+                None,
             ))
         })
     });
@@ -244,7 +245,7 @@ fn bench_node_throughput(c: &mut Criterion) {
     let problem = SlotProblem::build(&catalog, 0, &demand, &tir, None, &ProblemConfig::default());
     let milp = problem.debug_milp();
     for (label, warm_nodes) in [("warm", true), ("cold", false)] {
-        let cfg = BnbConfig {
+        let cfg = SolverConfig {
             node_limit: 256,
             rel_gap: 0.0,
             parallel: false,
@@ -253,7 +254,7 @@ fn bench_node_throughput(c: &mut Criterion) {
             ..Default::default()
         };
         g.bench_function(format!("slot_256_nodes_{label}"), |b| {
-            b.iter(|| black_box(branch_and_bound(&milp, &cfg)))
+            b.iter(|| black_box(branch_and_bound(&milp, &cfg, None)))
         });
     }
     g.finish();

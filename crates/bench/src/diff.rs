@@ -133,12 +133,7 @@ pub fn parse_solver_baseline(json: &str) -> Result<BTreeMap<String, f64>, String
 pub fn parse_runner_record(json: &str) -> Result<BTreeMap<String, f64>, String> {
     let v: Value = serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
     let mut out = BTreeMap::new();
-    for key in [
-        "reuse_off_mean_decide_ms",
-        "reuse_on_mean_decide_ms",
-        "delta_off_mean_decide_ms",
-        "delta_on_mean_decide_ms",
-    ] {
+    for key in ["reuse_off_mean_decide_ms", "reuse_on_mean_decide_ms"] {
         match v.get(key).and_then(Value::as_f64) {
             Some(ms) => {
                 out.insert(format!("runner_decide/{key}"), ms);
@@ -151,13 +146,11 @@ pub fn parse_runner_record(json: &str) -> Result<BTreeMap<String, f64>, String> 
 
 /// Absolute acceptance bounds carried inside a `BENCH_runner.json` record
 /// itself: `checkpoint_overhead_pct` must stay at or below
-/// `acceptance.checkpoint_overhead_max_pct` (default 3%, DESIGN.md §12),
-/// and `delta_speedup` must stay at or above
-/// `acceptance.delta_speedup_required` (default 1.5×, DESIGN.md §13).
-/// Percent overheads hover near zero and speedups are ratios already, so a
-/// baseline-ratio gate would be meaningless noise — the bounds are checked
-/// on the *fresh* record alone. Returns one message per violated bound; an
-/// old-format record without the fields passes.
+/// `acceptance.checkpoint_overhead_max_pct` (default 3%, DESIGN.md §12).
+/// Percent overheads hover near zero, so a baseline-ratio gate would be
+/// meaningless noise — the bound is checked on the *fresh* record alone.
+/// Returns one message per violated bound; an old-format record without
+/// the field passes.
 pub fn runner_acceptance_failures(json: &str) -> Result<Vec<String>, String> {
     let v: Value = serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
     let mut failures = Vec::new();
@@ -170,18 +163,6 @@ pub fn runner_acceptance_failures(json: &str) -> Result<Vec<String>, String> {
         if pct > max {
             failures.push(format!(
                 "checkpoint_overhead_pct {pct:.2}% exceeds the {max}% acceptance bound"
-            ));
-        }
-    }
-    if let Some(speedup) = v.get("delta_speedup").and_then(Value::as_f64) {
-        let min = v
-            .get("acceptance")
-            .and_then(|a| a.get("delta_speedup_required"))
-            .and_then(Value::as_f64)
-            .unwrap_or(1.5);
-        if speedup < min {
-            failures.push(format!(
-                "delta_speedup {speedup:.2}x falls below the {min}x acceptance bound"
             ));
         }
     }
@@ -299,50 +280,17 @@ mod tests {
         let json = r#"{
             "reuse_off_mean_decide_ms": 0.959,
             "reuse_on_mean_decide_ms": 0.413,
-            "speedup": 2.32,
-            "delta_off_mean_decide_ms": 0.066,
-            "delta_on_mean_decide_ms": 0.038,
-            "delta_speedup": 1.74
+            "speedup": 2.32
         }"#;
         let m = parse_runner_record(json).unwrap();
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.len(), 2);
         assert!((m["runner_decide/reuse_off_mean_decide_ms"] - 0.959).abs() < 1e-12);
-        assert!((m["runner_decide/delta_on_mean_decide_ms"] - 0.038).abs() < 1e-12);
+        assert!((m["runner_decide/reuse_on_mean_decide_ms"] - 0.413).abs() < 1e-12);
 
-        // A record missing the delta keys (pre-§13 shape) must be rejected — that is how a silently-dropped bench pass fails the
-        // gate.
-        let legacy = r#"{
-            "reuse_off_mean_decide_ms": 0.959,
-            "reuse_on_mean_decide_ms": 0.413
-        }"#;
-        assert!(parse_runner_record(legacy).is_err());
-    }
-
-    #[test]
-    fn delta_speedup_bound_is_enforced_absolutely() {
-        // At or above the required speedup: passes.
-        let ok = r#"{
-            "delta_speedup": 1.74,
-            "acceptance": { "delta_speedup_required": 1.5 }
-        }"#;
-        assert!(runner_acceptance_failures(ok).unwrap().is_empty());
-
-        // Below the bound: one violation naming the numbers.
-        let bad = r#"{
-            "delta_speedup": 1.12,
-            "acceptance": { "delta_speedup_required": 1.5 }
-        }"#;
-        let fails = runner_acceptance_failures(bad).unwrap();
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("1.12"), "{fails:?}");
-
-        // No acceptance block: the 1.5x default applies.
-        let default_bound = r#"{ "delta_speedup": 1.2 }"#;
-        assert_eq!(runner_acceptance_failures(default_bound).unwrap().len(), 1);
-
-        // Old-format record without the field passes untouched.
-        let legacy = r#"{ "reuse_on_mean_decide_ms": 0.4 }"#;
-        assert!(runner_acceptance_failures(legacy).unwrap().is_empty());
+        // A record missing a decide key must be rejected — that is how a
+        // silently-dropped bench pass fails the gate.
+        let partial = r#"{ "reuse_off_mean_decide_ms": 0.959 }"#;
+        assert!(parse_runner_record(partial).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! birp run        [--scale small|large] [--slots N] [--seed S] [--scheduler birp|birp-off|oaei|max]
-//!                 [--faults plan.json] [--resilience on|off] [--dense-simplex]
+//!                 [--faults plan.json] [--resilience on|off] [--no-reuse]
 //!                 [--checkpoint run.ckpt] [--checkpoint-every N] [--out result.json]
 //! birp resume     <run.ckpt> [--checkpoint-every N] [--out result.json]
 //! birp chaos      [--slots N] [--seed S] [--kills N] [--out report.json]
@@ -53,8 +53,8 @@
 //! Argument parsing is hand-rolled over `std::env::args` — the workspace
 //! deliberately keeps its dependency set to the paper-relevant crates
 //! (DESIGN.md, dependency section). Each command declares the flags it
-//! reads; an unknown flag, a missing value or a number that does not parse
-//! exits 2 and names the flag.
+//! reads; an unknown flag, a missing value, a number that does not parse or
+//! a value outside a flag's fixed choices exits 2 and names the flag.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -73,7 +73,6 @@ use birp_core::{
 };
 use birp_mab::MabConfig;
 use birp_models::Catalog;
-use birp_solver::simplex::SimplexMode;
 use birp_solver::SolverConfig;
 use birp_workload::{io as trace_io, TraceConfig, TraceStats};
 use serde::{Deserialize, Serialize, Value};
@@ -116,7 +115,6 @@ struct RunSpec {
     scheduler: String,
     resilience: bool,
     no_reuse: bool,
-    dense_simplex: bool,
     /// The serialized [`birp_sim::FaultPlan`] (inlined: the plan file may
     /// not exist anymore at resume time).
     faults: Value,
@@ -126,15 +124,7 @@ struct RunSpec {
 const GLOBAL_FLAGS: [&str; 2] = ["telemetry", "log-level"];
 
 /// Flags that take no value; every other flag takes one.
-const SWITCHES: [&str; 7] = [
-    "no-reuse",
-    "dense-simplex",
-    "smoke",
-    "csv",
-    "json",
-    "check",
-    "update-golden",
-];
+const SWITCHES: [&str; 6] = ["no-reuse", "smoke", "csv", "json", "check", "update-golden"];
 
 /// Flags whose value must parse as a non-negative integer.
 const INTEGER_FLAGS: [&str; 7] = [
@@ -150,11 +140,19 @@ const INTEGER_FLAGS: [&str; 7] = [
 /// Flags whose value must parse as a number.
 const NUMBER_FLAGS: [&str; 1] = ["tolerance"];
 
+/// Flags whose value must be one of a fixed set.
+const CHOICE_FLAGS: [(&str, &[&str]); 4] = [
+    ("scale", &["small", "large"]),
+    ("scheduler", &["birp", "birp-off", "oaei", "max"]),
+    ("resilience", &["on", "off"]),
+    ("log-level", &["trace", "debug", "info", "warn", "error"]),
+];
+
 /// The number of operands `cmd` takes and the flags it reads besides
 /// [`GLOBAL_FLAGS`]; `None` for an unknown command or `repro` figure.
 fn command_spec(cmd: &str, operand: Option<&str>) -> Option<(usize, Vec<&'static str>)> {
     // `run`'s robustness flags, which `repro fig6|fig7` also takes.
-    const ROBUSTNESS: [&str; 4] = ["faults", "resilience", "no-reuse", "dense-simplex"];
+    const ROBUSTNESS: [&str; 3] = ["faults", "resilience", "no-reuse"];
     let (operands, flags): (usize, &[&[&str]]) = match cmd {
         "run" => (
             0,
@@ -244,6 +242,14 @@ impl Args {
             if NUMBER_FLAGS.contains(&name) && value.parse::<f64>().is_err() {
                 return Err(format!("--{name} takes a number, got '{value}'"));
             }
+            if let Some((_, choices)) = CHOICE_FLAGS.iter().find(|(flag, _)| *flag == name) {
+                if !choices.contains(&value.as_str()) {
+                    return Err(format!(
+                        "--{name} takes {}, got '{value}'",
+                        choices.join("|")
+                    ));
+                }
+            }
             args.flags.insert(name.to_string(), value.clone());
         }
         Ok(args)
@@ -305,12 +311,9 @@ REPRO (paper figures at paper size, each written to results/<figure>.json):
 ROBUSTNESS (run / repro fig6|fig7):
     --faults <plan.json>       inject a serialized FaultPlan into the executor
     --resilience on|off        failure detector + quarantine-and-reroute (default: off)
-    --no-reuse                 disable cross-slot temporal reuse (warm-start install,
-                               heuristic-regime skip, and the incremental delta path —
-                               every slot rebuilds its model from scratch) in the MILP
-                               schedulers
-    --dense-simplex            force the dense tableau simplex core instead of the
-                               sparse revised core (A/B validation and triage)
+    --no-reuse                 disable cross-slot temporal reuse (warm-start install and
+                               heuristic-regime skip: every slot runs a full solve) in
+                               the MILP schedulers
 
 DURABILITY (run / resume):
     --checkpoint <run.ckpt>    write the full run state atomically every
@@ -348,6 +351,8 @@ BENCH-DIFF (perf-regression gate):
     ExitCode::from(2)
 }
 
+/// `--scale` is checked by [`Args::parse`]; a checkpoint's stored scale is
+/// checked by `cmd_resume`.
 fn catalog_for(scale: &str, seed: u64) -> Catalog {
     match scale {
         "large" => Catalog::large_scale(seed),
@@ -382,13 +387,8 @@ fn apply_robustness(args: &Args, run: &mut RunConfig) -> Result<(), ExitCode> {
             ExitCode::from(1)
         })?;
     }
-    match args.get("resilience") {
-        Some("on") => run.resilience = Some(HealthConfig::default()),
-        Some("off") | None => {}
-        Some(other) => {
-            eprintln!("--resilience takes on|off, got '{other}'");
-            return Err(ExitCode::from(2));
-        }
+    if args.get("resilience") == Some("on") {
+        run.resilience = Some(HealthConfig::default());
     }
     Ok(())
 }
@@ -403,19 +403,15 @@ fn parse_kind(name: &str) -> Option<SchedulerKind> {
     }
 }
 
-fn solver_for(scale: &str, dense_simplex: bool) -> SolverConfig {
-    let mut solver = if scale == "large" {
+fn solver_for(scale: &str) -> SolverConfig {
+    if scale == "large" {
         SolverConfig {
             node_limit: 16,
             ..SolverConfig::scheduling()
         }
     } else {
         SolverConfig::scheduling()
-    };
-    if dense_simplex {
-        solver.simplex.mode = SimplexMode::Dense;
     }
-    solver
 }
 
 /// Write `value` as pretty JSON to `out`, when given; a failed write is
@@ -490,10 +486,11 @@ fn finish_resumable(
     }
 }
 
-/// The sharding flags, removed with the sharded decide (DESIGN.md §14), as
-/// the keys earlier checkpoints stored them under in their run spec; each
-/// flag is its key with `-` for `_`.
-const REMOVED_SHARD_KEYS: [&str; 2] = ["shards", "cluster_size"];
+/// Removed flags that changed decisions, as the keys earlier checkpoints
+/// stored them under in their run spec; each flag is its key with `-` for
+/// `_`. The sharding flags left with the sharded decide (DESIGN.md §14),
+/// `dense_simplex` with the switch that forced the dense simplex core.
+const REMOVED_FLAG_KEYS: [&str; 3] = ["shards", "cluster_size", "dense_simplex"];
 
 fn cmd_run(args: &Args) -> ExitCode {
     let scale = args.get("scale").unwrap_or("small").to_string();
@@ -502,16 +499,13 @@ fn cmd_run(args: &Args) -> ExitCode {
     let catalog = catalog_for(&scale, seed);
     let trace = trace_cfg_for(&scale, seed, slots).generate();
     let scheduler_name = args.get("scheduler").unwrap_or("birp").to_string();
-    let Some(kind) = parse_kind(&scheduler_name) else {
-        eprintln!("unknown scheduler '{scheduler_name}'");
-        return ExitCode::from(2);
-    };
-    let solver = solver_for(&scale, args.has("dense-simplex"));
+    let kind = parse_kind(&scheduler_name).expect("Args::parse checks --scheduler");
+    let solver = solver_for(&scale);
     let mut run_cfg = RunConfig::default();
     if let Err(code) = apply_robustness(args, &mut run_cfg) {
         return code;
     }
-    let mut scheduler = kind.build_with_reuse(
+    let mut scheduler = kind.build(
         &catalog,
         MabConfig::paper_preset(),
         seed,
@@ -536,7 +530,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         scheduler: scheduler_name,
         resilience: run_cfg.resilience.is_some(),
         no_reuse: args.has("no-reuse"),
-        dense_simplex: args.has("dense-simplex"),
         faults: Serialize::to_value(&run_cfg.sim.faults),
     };
     let policy = CheckpointPolicy {
@@ -570,18 +563,20 @@ fn cmd_resume(args: &Args) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    // A run checkpointed under a sharding flag would resume here under
-    // different decisions than it started with, so it is refused.
-    for key in REMOVED_SHARD_KEYS {
-        if let Some(n) = ck.spec.get(key).and_then(Value::as_u64).filter(|&n| n > 0) {
-            eprintln!(
-                "{path}: checkpoint was written by `birp run --{} {n}`, a flag removed with \
-                 the sharded decide (DESIGN.md §14); this build cannot resume the run under \
-                 the decisions it started with",
-                key.replace('_', "-")
-            );
-            return ExitCode::from(1);
-        }
+    // A run checkpointed under a removed flag would resume here under
+    // different decisions than it started with, so it is refused. A spec
+    // that records the flag as unset (0 or false) still resumes.
+    for key in REMOVED_FLAG_KEYS {
+        let flag = match ck.spec.get(key) {
+            Some(Value::UInt(n)) if *n > 0 => format!("--{} {n}", key.replace('_', "-")),
+            Some(Value::Bool(true)) => format!("--{}", key.replace('_', "-")),
+            _ => continue,
+        };
+        eprintln!(
+            "{path}: checkpoint was written by `birp run {flag}`, a flag this build no longer \
+             has; it cannot resume the run under the decisions it started with"
+        );
+        return ExitCode::from(1);
     }
     let spec = match RunSpec::from_value(&ck.spec) {
         Ok(s) => s,
@@ -597,6 +592,10 @@ fn cmd_resume(args: &Args) -> ExitCode {
         eprintln!("{path}: spec names unknown scheduler '{}'", spec.scheduler);
         return ExitCode::from(1);
     };
+    if !matches!(spec.scale.as_str(), "small" | "large") {
+        eprintln!("{path}: spec names unknown scale '{}'", spec.scale);
+        return ExitCode::from(1);
+    }
     let catalog = catalog_for(&spec.scale, spec.seed);
     let trace = trace_cfg_for(&spec.scale, spec.seed, spec.slots).generate();
     let mut run_cfg = RunConfig::default();
@@ -613,8 +612,8 @@ fn cmd_resume(args: &Args) -> ExitCode {
             return ExitCode::from(1);
         }
     }
-    let solver = solver_for(&spec.scale, spec.dense_simplex);
-    let mut scheduler = kind.build_with_reuse(
+    let solver = solver_for(&spec.scale);
+    let mut scheduler = kind.build(
         &catalog,
         MabConfig::paper_preset(),
         spec.seed,
@@ -748,9 +747,6 @@ fn cmd_repro(args: &Args) -> ExitCode {
             };
             if let Err(code) = apply_robustness(args, &mut cfg.run) {
                 return code;
-            }
-            if args.has("dense-simplex") {
-                cfg.solver.simplex.mode = SimplexMode::Dense;
             }
             write_json(out, &repro::comparison(figure, &cfg))
         }
@@ -1148,10 +1144,9 @@ fn main() -> ExitCode {
         }
     };
     if let Some(path) = args.get("telemetry") {
-        let level = args
-            .get("log-level")
-            .and_then(telemetry::Level::parse)
-            .unwrap_or(telemetry::Level::Debug);
+        let level = args.get("log-level").map_or(telemetry::Level::Debug, |l| {
+            telemetry::Level::parse(l).expect("Args::parse checks --log-level")
+        });
         // Stamp the capture with its invocation so the file is
         // self-describing (`birp report`/`profile` print this header).
         let meta = telemetry::RunMeta {

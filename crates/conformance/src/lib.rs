@@ -10,7 +10,7 @@
 //!   `x`/batch `b` assignment and solves the residual routing exactly. The
 //!   differential proptests in `tests/` assert the MILP incumbent matches
 //!   it under every solver toggle (warm starts, presolve, partial pricing,
-//!   `SolveBudget` degradation),
+//!   node-budget degradation),
 //! * [`tiny`] — the tiny-instance model and its generator, shared between
 //!   the proptests and the `birp conformance` CLI smoke,
 //! * [`transform`] — metamorphic transforms (edge permutation, budget

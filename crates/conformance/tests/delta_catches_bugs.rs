@@ -22,7 +22,7 @@ use birp_conformance::{sample_tiny_instance, TinyInstance};
 use birp_core::problem::delta_fault_stale_rhs;
 use birp_core::{DeltaOutcome, SlotProblem};
 use birp_models::{AppId, EdgeId};
-use birp_solver::{SimplexOptions, SolveBudget, SolverConfig};
+use birp_solver::{SimplexOptions, SolverConfig};
 use proptest::TestRng;
 
 /// Certifying configuration (mirrors `temporal_differential::certifying`).
@@ -35,8 +35,8 @@ fn certifying() -> SolverConfig {
         trust_warm: false,
         warm_nodes: true,
         presolve: true,
+        max_pivots: None,
         simplex: SimplexOptions::default(),
-        budget: SolveBudget::unlimited(),
     }
 }
 

@@ -10,7 +10,7 @@ use birp_conformance::transform::{permute_edges, relax_budgets, restrict_edges};
 use birp_conformance::{arb_tiny_instance, TinyInstance};
 use birp_core::{run_scheduler, BirpOff, RunConfig};
 use birp_models::Catalog;
-use birp_solver::{SimplexOptions, SolveBudget, SolverConfig};
+use birp_solver::{SimplexOptions, SolverConfig};
 use birp_tir::{latency, linearized_latency, max_abs_error, TirParams};
 use birp_workload::TraceConfig;
 use proptest::prelude::*;
@@ -24,8 +24,8 @@ fn exact() -> SolverConfig {
         trust_warm: false,
         warm_nodes: true,
         presolve: true,
+        max_pivots: None,
         simplex: SimplexOptions::default(),
-        budget: SolveBudget::unlimited(),
     }
 }
 

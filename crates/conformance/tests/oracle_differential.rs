@@ -8,7 +8,7 @@
 //! "cold-nodes passes, default fails" rather than a generic mismatch.
 
 use birp_conformance::{arb_tiny_instance, oracle_report};
-use birp_solver::{SimplexOptions, SolveBudget, SolverConfig};
+use birp_solver::{SimplexOptions, SolverConfig};
 use proptest::prelude::*;
 
 /// Exact-solve baseline: gap tight enough that the only admissible
@@ -23,8 +23,8 @@ fn exact_base() -> SolverConfig {
         trust_warm: false,
         warm_nodes: true,
         presolve: true,
+        max_pivots: None,
         simplex: SimplexOptions::default(),
-        budget: SolveBudget::unlimited(),
     }
 }
 
@@ -93,7 +93,7 @@ proptest! {
         }
     }
 
-    /// Under a starved `SolveBudget` the solve must degrade, not break:
+    /// Under a starved node budget the solve must degrade, not break:
     /// it still returns a conservation-clean schedule whose objective is
     /// no better than the true optimum (nothing can beat the oracle) and
     /// no worse than serving nothing at all.
@@ -101,11 +101,7 @@ proptest! {
     fn budget_degradation_is_graceful(inst in arb_tiny_instance()) {
         let oracle = oracle_report(&inst);
         let cfg = SolverConfig {
-            budget: SolveBudget {
-                max_nodes: Some(1),
-                max_pivots: None,
-                deadline_ms: None,
-            },
+            node_limit: 1,
             ..exact_base()
         };
         let (schedule, stats) = inst.problem().solve(&cfg).expect("degraded solve failed");

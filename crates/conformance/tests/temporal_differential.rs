@@ -25,7 +25,7 @@ use birp_core::{
 };
 use birp_models::{AppId, EdgeId, ModelId, ModelVersion, UtilProfile};
 use birp_sim::{validate, Deployment, Schedule};
-use birp_solver::{SimplexOptions, SolveBudget, SolverConfig};
+use birp_solver::{SimplexOptions, SolverConfig};
 use birp_tir::TirParams;
 use proptest::prelude::*;
 
@@ -44,8 +44,8 @@ fn certifying() -> SolverConfig {
         trust_warm: false,
         warm_nodes: true,
         presolve: true,
+        max_pivots: None,
         simplex: SimplexOptions::default(),
-        budget: SolveBudget::unlimited(),
     }
 }
 

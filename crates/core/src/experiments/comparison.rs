@@ -33,16 +33,6 @@ impl SchedulerKind {
         mab: MabConfig,
         seed: u64,
         solver: &SolverConfig,
-    ) -> Box<dyn Scheduler + Send> {
-        self.build_with_reuse(catalog, mab, seed, solver, &TemporalReuse::default())
-    }
-
-    pub fn build_with_reuse(
-        self,
-        catalog: &Catalog,
-        mab: MabConfig,
-        seed: u64,
-        solver: &SolverConfig,
         reuse: &TemporalReuse,
     ) -> Box<dyn Scheduler + Send> {
         match self {
@@ -146,7 +136,7 @@ pub fn compare_schedulers(cfg: &ComparisonConfig) -> Vec<ComparisonResult> {
         .par_iter()
         .map(|&kind| {
             let mut scheduler =
-                kind.build_with_reuse(&cfg.catalog, cfg.mab, cfg.seed, &cfg.solver, &cfg.run.reuse);
+                kind.build(&cfg.catalog, cfg.mab, cfg.seed, &cfg.solver, &cfg.run.reuse);
             let run = run_scheduler(&cfg.catalog, &trace, scheduler.as_mut(), &cfg.run);
             ComparisonResult { kind, run }
         })

@@ -370,8 +370,6 @@ impl DeltaSummary {
 pub enum RebuildReason {
     /// No persistent model existed yet (first slot, or none restored).
     FirstBuild,
-    /// The delta path is disabled (`--no-reuse`).
-    Disabled,
     /// A structural input changed (execution mode, drop penalty, serial
     /// batch bound) — the lowering differs beyond what deltas cover.
     StructureChanged,
@@ -1467,7 +1465,7 @@ impl SlotProblem {
     /// alongside the model guarantees branch and bound always holds a
     /// usable incumbent, even under the tightest node budgets.
     pub fn solve(&self, solver_cfg: &SolverConfig) -> Result<(Schedule, SolveStats), SolverError> {
-        let sol = self.model.solve_warm(solver_cfg, Some(self.warm.clone()))?;
+        let sol = self.model.solve_warm(solver_cfg, Some(&self.warm))?;
         Ok(self.decode_with_stats(&sol))
     }
 
@@ -1526,7 +1524,7 @@ impl SlotProblem {
                 warm[ov.index()] = pinned.bounds(ov).1;
             }
         }
-        let sol = pinned.solve_warm(solver_cfg, Some(warm))?;
+        let sol = pinned.solve_warm(solver_cfg, Some(&warm))?;
         let stats = SolveStats {
             objective: sol.objective,
             gap: sol.gap,

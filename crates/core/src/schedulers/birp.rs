@@ -37,55 +37,41 @@ const DIVE_MISS_LIMIT: usize = 8;
 /// While the root-dive gate is closed, the full solve this many after the
 /// last root dive runs it again as a probe.
 const DIVE_PROBE_EVERY: usize = 16;
+/// Maximum consecutive slots the heuristic-regime skip may serve from the
+/// repaired previous-slot schedule before a true solve is forced. The skip
+/// only ever activates while the budgeted solver is returning degraded
+/// (budget-truncated) incumbents; where the solver proves optimality it is
+/// structurally inert.
+const MAX_SKIP_STREAK: usize = 3;
 
-/// Cross-slot temporal reuse knobs (DESIGN.md §11).
+/// Cross-slot temporal reuse (DESIGN.md §11).
 ///
 /// Consecutive slots differ by smooth demand drift and occasional MAB
 /// updates, so the previous slot's schedule is almost always a strong
 /// starting incumbent. A full solve installs its repaired projection as the
 /// warm start; while the budgeted solver is returning degraded incumbents,
 /// the heuristic-regime skip serves that warm start without a search.
+///
+/// The persistent slot model (DESIGN.md §13) is not part of this switch: it
+/// serves every configuration, because a refresh is bitwise a rebuild.
 #[derive(Debug, Clone)]
 pub struct TemporalReuse {
-    /// Master switch (`--no-reuse` from the CLI). Off reproduces the
-    /// pre-reuse decision path exactly.
+    /// Master switch (`--no-reuse` from the CLI). Off means no warm-start
+    /// install and no skip: every slot runs a full solve from the greedy
+    /// warm start alone.
     pub enabled: bool,
-    /// Maximum consecutive slots the heuristic-regime skip may serve from
-    /// the repaired previous-slot schedule before a true solve is forced.
-    /// The skip only ever activates while the budgeted solver is returning
-    /// degraded (budget-truncated) incumbents — in a regime where the
-    /// solver proves optimality it is structurally inert, so `0` is only
-    /// needed to ablate it explicitly.
-    pub max_skip_streak: usize,
-    /// Incremental re-solve (DESIGN.md §13): keep one persistent
-    /// [`SlotProblem`] alive across slots and absorb each new slot as typed
-    /// deltas (demand drift, quarantine mask, TIR estimate moves, previous
-    /// deployments, budgets) instead of lowering from scratch. The refreshed
-    /// model is bitwise-identical to a rebuild (the `temporal_differential`
-    /// delta suite pins this), so this is purely a build-cost lever.
-    pub deltas: bool,
 }
 
 impl Default for TemporalReuse {
     fn default() -> Self {
-        TemporalReuse {
-            enabled: true,
-            max_skip_streak: 3,
-            deltas: true,
-        }
+        TemporalReuse { enabled: true }
     }
 }
 
 impl TemporalReuse {
-    /// The escape hatch (`--no-reuse`): no warm-start install, no skip and
-    /// no persistent slot model — every slot lowers from scratch and runs a
-    /// full solve.
+    /// The escape hatch (`--no-reuse`).
     pub fn disabled() -> Self {
-        TemporalReuse {
-            enabled: false,
-            deltas: false,
-            ..TemporalReuse::default()
-        }
+        TemporalReuse { enabled: false }
     }
 }
 
@@ -249,7 +235,6 @@ fn emit_delta(t: usize, outcome: &DeltaOutcome) {
             if telemetry::enabled() {
                 let reason = match reason {
                     RebuildReason::FirstBuild => "first_build",
-                    RebuildReason::Disabled => "disabled",
                     RebuildReason::StructureChanged => "structure_changed",
                     RebuildReason::CatalogChanged => "catalog_changed",
                 };
@@ -286,7 +271,7 @@ pub struct Birp {
     /// Cross-slot temporal reuse configuration (DESIGN.md §11).
     reuse: TemporalReuse,
     /// Consecutive slots served by the heuristic-regime skip since the last
-    /// true solve (bounded by [`TemporalReuse::max_skip_streak`]).
+    /// true solve (bounded by [`MAX_SKIP_STREAK`]).
     skip_streak: usize,
     /// True while the budgeted solver is returning degraded
     /// (budget-truncated) incumbents — the only regime in which the
@@ -298,9 +283,8 @@ pub struct Birp {
     /// Root-dive gate: full solves since the last one that ran the root dive.
     solves_since_dive: usize,
     /// The persistent slot model (DESIGN.md §13): lowered once, then
-    /// refreshed in place with typed deltas each slot while
-    /// [`TemporalReuse::deltas`] is on. `None` until the first decide, and
-    /// whenever the delta path is off.
+    /// refreshed in place with typed deltas each slot. `None` until the
+    /// first decide.
     slot_model: Option<SlotProblem>,
     /// Input fingerprint restored from a checkpoint, consumed by the first
     /// decide after resume to re-lower the persistent model skeleton.
@@ -401,16 +385,14 @@ impl Birp {
         )
     }
 
-    /// Produce this slot's lowered problem. While the delta path is on
-    /// ([`TemporalReuse::deltas`]) the persistent model is refreshed in
-    /// place — consecutive slots are diffed into typed deltas and a full
-    /// rebuild only happens on a structure/catalog fingerprint mismatch.
-    /// Otherwise (or on the very first slot) the problem is lowered from
-    /// scratch, exactly as the pre-delta decision path did. Also the
-    /// restore half of the persistent-model checkpoint: a fingerprint
-    /// imported by [`Scheduler::import_state`] is re-lowered here, and the
-    /// refresh that follows recomputes the derived state just as the
-    /// uninterrupted run's refresh would have.
+    /// Produce this slot's lowered problem. The persistent model is
+    /// refreshed in place: consecutive slots are diffed into typed deltas
+    /// and a full rebuild only happens on the first slot or on a
+    /// structure/catalog fingerprint mismatch. Also the restore half of the
+    /// persistent-model checkpoint: a fingerprint imported by
+    /// [`Scheduler::import_state`] is re-lowered here, and the refresh that
+    /// follows recomputes the derived state just as the uninterrupted run's
+    /// refresh would have.
     #[allow(clippy::too_many_arguments)]
     fn acquire_problem(
         &mut self,
@@ -422,49 +404,30 @@ impl Birp {
         reuse: Option<&Schedule>,
         guide_lp: bool,
     ) -> (SlotProblem, DeltaOutcome) {
-        let deltas_on = self.reuse.enabled && self.reuse.deltas;
-        if deltas_on {
-            if self.slot_model.is_none() {
-                if let Some(inputs) = self.restored_inputs.take() {
-                    // Dimension guard: a fingerprint from a checkpoint taken
-                    // under a different catalog cannot be re-lowered (the
-                    // refresh would reject it anyway via the statics digest).
-                    if inputs.num_apps == self.catalog.num_apps()
-                        && inputs.num_edges == self.catalog.num_edges()
-                        && inputs.num_models == self.catalog.num_models()
-                    {
-                        self.slot_model = Some(SlotProblem::from_inputs(&self.catalog, inputs));
-                    }
+        if self.slot_model.is_none() {
+            if let Some(inputs) = self.restored_inputs.take() {
+                // Dimension guard: a fingerprint from a checkpoint taken
+                // under a different catalog cannot be re-lowered (the
+                // refresh would reject it anyway via the statics digest).
+                if inputs.num_apps == self.catalog.num_apps()
+                    && inputs.num_edges == self.catalog.num_edges()
+                    && inputs.num_models == self.catalog.num_models()
+                {
+                    self.slot_model = Some(SlotProblem::from_inputs(&self.catalog, inputs));
                 }
             }
-            if let Some(mut model) = self.slot_model.take() {
-                let outcome = model.refresh_with_reuse(
-                    &self.catalog,
-                    t,
-                    demand,
-                    tir,
-                    prev,
-                    cfg,
-                    reuse,
-                    guide_lp,
-                );
-                return (model, outcome);
-            }
-        } else {
-            self.slot_model = None;
-            self.restored_inputs = None;
+        }
+        if let Some(mut model) = self.slot_model.take() {
+            let outcome =
+                model.refresh_with_reuse(&self.catalog, t, demand, tir, prev, cfg, reuse, guide_lp);
+            return (model, outcome);
         }
         let problem = if guide_lp {
             SlotProblem::build_with_reuse(&self.catalog, t, demand, tir, prev, cfg, reuse)
         } else {
             SlotProblem::build_reuse_lean(&self.catalog, t, demand, tir, prev, cfg, reuse)
         };
-        let reason = if deltas_on {
-            RebuildReason::FirstBuild
-        } else {
-            RebuildReason::Disabled
-        };
-        (problem, DeltaOutcome::Rebuilt(reason))
+        (problem, DeltaOutcome::Rebuilt(RebuildReason::FirstBuild))
     }
 
     /// Whether the root-dive gate switches the dive off for the next full
@@ -516,9 +479,8 @@ impl Birp {
         // and the gate is structurally inert wherever the solver proves
         // optimality (no degraded solves → no skips), which is what keeps
         // the certifying-config differential suite exact.
-        let skip = self.reuse.enabled
-            && self.heuristic_regime
-            && self.skip_streak < self.reuse.max_skip_streak;
+        let skip =
+            self.reuse.enabled && self.heuristic_regime && self.skip_streak < MAX_SKIP_STREAK;
         let candidate = if self.reuse.enabled { prev } else { None };
         let (problem, delta) = self.acquire_problem(t, demand, &tir, prev, &cfg, candidate, !skip);
         emit_delta(t, &delta);
@@ -1129,21 +1091,14 @@ mod tests {
     fn with_shards_turns_reuse_off_for_two_or_more_clusters() {
         let catalog = Catalog::small_scale(42);
         let edges = catalog.num_edges();
-        let custom = TemporalReuse {
-            max_skip_streak: 6,
-            ..TemporalReuse::default()
-        };
-        let birp =
-            || Birp::new(catalog.clone(), MabConfig::paper_preset()).with_reuse(custom.clone());
-        let reuse_of = |r: &TemporalReuse| (r.enabled, r.max_skip_streak, r.deltas);
+        let birp = || Birp::new(catalog.clone(), MabConfig::paper_preset());
         for size in [0, edges, edges + 1] {
             let b = birp().with_shards(ShardConfig::new(size));
-            assert_eq!(reuse_of(&b.reuse), reuse_of(&custom), "cluster size {size}");
+            assert!(b.reuse.enabled, "cluster size {size}");
         }
         for size in [1, 2, edges - 1] {
             let b = birp().with_shards(ShardConfig::new(size));
-            let off = TemporalReuse::disabled();
-            assert_eq!(reuse_of(&b.reuse), reuse_of(&off), "cluster size {size}");
+            assert!(!b.reuse.enabled, "cluster size {size}");
         }
 
         let mut shim = birp().with_shards(ShardConfig::new(2));

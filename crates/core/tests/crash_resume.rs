@@ -48,25 +48,10 @@ fn make_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
     }
 }
 
-/// BIRP variants with the incremental re-solve path leaned on hard: deltas
-/// on (the default) plus a skip streak longer than the trace, so the
-/// persistent slot model is refreshed — never rebuilt — across every slot a
-/// kill can land between.
-fn delta_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
-    let reuse = TemporalReuse {
-        max_skip_streak: 6,
-        ..TemporalReuse::default()
-    };
-    match which {
-        0 => Box::new(Birp::new(catalog.clone(), MabConfig::paper_preset()).with_reuse(reuse)),
-        _ => Box::new(BirpOff::new(catalog.clone()).with_reuse(reuse)),
-    }
-}
-
-/// BIRP variants with temporal reuse off: no warm-start install, no skip
-/// and no persistent slot model, so every slot lowers from scratch and the
-/// checkpoint carries no slot inputs. BIRP comes through the `with_shards`
-/// shim, as the end-to-end fleet benchmark builds it.
+/// BIRP variants with temporal reuse off: no warm-start install and no
+/// skip, but the persistent slot model still refreshes every slot, so the
+/// checkpoint carries its slot inputs. BIRP comes through the
+/// `with_shards` shim, as the end-to-end fleet benchmark builds it.
 fn reuse_off_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
     match which {
         0 => Box::new(
@@ -191,7 +176,24 @@ fn killed_and_resumed(
     kill_at: usize,
     tag: &str,
 ) -> RunResult {
-    let ck = killed(catalog, trace, cfg, mk, kill_at, tag);
+    resumed(
+        catalog,
+        trace,
+        cfg,
+        mk,
+        killed(catalog, trace, cfg, mk, kill_at, tag),
+    )
+}
+
+/// Resume from `ck` on a freshly built scheduler and return the resumed
+/// run's final result.
+fn resumed(
+    catalog: &Catalog,
+    trace: &Trace,
+    cfg: &RunConfig,
+    mk: &dyn Fn(&Catalog) -> Box<dyn Scheduler>,
+    ck: RunnerCheckpoint,
+) -> RunResult {
     let mut fresh = mk(catalog);
     let resumed =
         run_scheduler_resumable(catalog, trace, fresh.as_mut(), cfg, None, Some(ck), None).unwrap();
@@ -229,7 +231,9 @@ proptest! {
     /// by construction. The checkpoint carries only the model's input
     /// fingerprint; the resumed scheduler re-lowers from it and refreshes
     /// on, and the final result must still be bitwise identical to the
-    /// uninterrupted run.
+    /// uninterrupted run. The persistent model refreshes on every slot in
+    /// every configuration, so these are the two MILP schedulers of the
+    /// headline property, with temporal reuse on.
     #[test]
     fn kill_resume_mid_delta_sequence_is_bitwise_equivalent(
         kill_at in 0..SLOTS - 1,
@@ -240,18 +244,19 @@ proptest! {
         let (catalog, trace) = setup();
         let cfg = config(resilience);
         let baseline = run_scheduler(
-            &catalog, &trace, delta_scheduler(&catalog, which).as_mut(), &cfg,
+            &catalog, &trace, make_scheduler(&catalog, which).as_mut(), &cfg,
         );
         let resumed = killed_and_resumed(
-            &catalog, &trace, &cfg, &|c| delta_scheduler(c, which), kill_at,
+            &catalog, &trace, &cfg, &|c| make_scheduler(c, which), kill_at,
             &format!("delta-{which}-{kill_at}-{resilience}"),
         );
         prop_assert_eq!(result_json(&baseline), result_json(&resumed));
     }
 
     /// Reuse-off kill–resume: the decide path the fleet runs, where every
-    /// slot is a cold full solve and the only scheduler state across a kill
-    /// is the tuner, the dive gate and the mask.
+    /// slot is a full solve without a reuse incumbent. The scheduler state
+    /// across a kill is the tuner, the dive gate, the mask and the slot
+    /// model's inputs.
     #[test]
     fn kill_resume_reuse_off_is_bitwise_equivalent(
         kill_at in 0..SLOTS - 1,
@@ -264,10 +269,16 @@ proptest! {
         let baseline = run_scheduler(
             &catalog, &trace, reuse_off_scheduler(&catalog, which).as_mut(), &cfg,
         );
-        let resumed = killed_and_resumed(
-            &catalog, &trace, &cfg, &|c| reuse_off_scheduler(c, which), kill_at,
+        let mk = |c: &Catalog| reuse_off_scheduler(c, which);
+        let ck = killed(
+            &catalog, &trace, &cfg, &mk, kill_at,
             &format!("reuse-off-{which}-{kill_at}-{resilience}"),
         );
+        prop_assert!(
+            ck.scheduler_state.get("slot_inputs").is_some_and(|v| !v.is_null()),
+            "reuse-off checkpoint carries no slot inputs"
+        );
+        let resumed = resumed(&catalog, &trace, &cfg, &mk, ck);
         prop_assert_eq!(result_json(&baseline), result_json(&resumed));
     }
 

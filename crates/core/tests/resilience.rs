@@ -12,7 +12,7 @@
 use birp_core::{run_scheduler, BirpOff, HealthConfig, RunConfig};
 use birp_models::{Catalog, EdgeId};
 use birp_sim::{FaultPlan, SimConfig};
-use birp_solver::{SolveBudget, SolverConfig};
+use birp_solver::SolverConfig;
 use birp_telemetry as telemetry;
 use birp_workload::{Trace, TraceConfig};
 
@@ -109,11 +109,8 @@ fn resilience_budget_exhaustion_degrades_gracefully() {
         telemetry::Level::Warn,
     );
     let starved = SolverConfig {
-        budget: SolveBudget {
-            max_nodes: Some(1),
-            max_pivots: Some(1),
-            deadline_ms: None,
-        },
+        node_limit: 1,
+        max_pivots: Some(1),
         ..serial_scheduling()
     };
     let mut s = BirpOff::new(catalog.clone()).with_solver(starved);

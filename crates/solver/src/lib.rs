@@ -51,8 +51,8 @@ pub mod simplex;
 pub use error::SolverError;
 pub use expr::{LinExpr, VarId, VarKind};
 pub use lp::{LpProblem, LpSolution, LpStatus};
-pub use milp::{MilpProblem, MilpResult, MilpStatus, RootDive, SolveBudget};
-pub use model::{Model, ModelStatus, RowId, Solution, SolverConfig};
+pub use milp::{MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig};
+pub use model::{Model, ModelStatus, RowId, Solution};
 pub use presolve::{presolve, PresolveStatus, Reduction};
 pub use simplex::{EngineSnapshot, SimplexEngine, SimplexOptions};
 

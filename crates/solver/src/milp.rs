@@ -16,8 +16,8 @@
 //! children restore and re-optimise with the dual simplex — a few pivots
 //! instead of a full two-phase solve, since branching only shifts one
 //! bound and the parent basis stays dual-feasible. Snapshot memory on the
-//! frontier is capped by [`BnbConfig::warm_memory_budget`] with a
-//! deterministic gate, so behaviour is reproducible at any budget.
+//! frontier is capped by a fixed memory budget with a deterministic gate,
+//! so behaviour is reproducible.
 //!
 //! [`SimplexEngine`]: crate::simplex::SimplexEngine
 
@@ -45,45 +45,21 @@ pub struct MilpProblem {
     pub integers: Vec<usize>,
 }
 
-/// A deterministic work budget for one MILP solve, layered on top of
-/// [`BnbConfig::node_limit`]. When any limit trips, the search stops and
-/// returns its best incumbent with [`MilpResult::degraded`] set — graceful
-/// degradation instead of an unbounded solve.
+/// Approximate cap, in bytes, on frontier memory spent on engine snapshots.
+/// When the estimated footprint of the open nodes would exceed it, new
+/// nodes are pushed without snapshots and re-solve cold: a deterministic
+/// degradation, never an OOM.
+const WARM_MEMORY_BUDGET: usize = 256 << 20;
+
+/// The one options struct of the solver: branch-and-bound search
+/// parameters, its deterministic work budget and the simplex tunables.
 ///
-/// Node and pivot budgets are exact and deterministic (both are counted on
-/// the main search thread in fold order). The wall-clock deadline is the
-/// only nondeterministic limit — leave it `None` for bit-reproducible runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SolveBudget {
-    /// Cap on LP relaxations solved (combined with `node_limit` by `min`).
-    pub max_nodes: Option<usize>,
-    /// Cap on cumulative simplex pivots across every node LP. Checked at
-    /// node boundaries: the in-flight LP always completes, so the root
-    /// relaxation runs even under `max_pivots = 1`.
-    pub max_pivots: Option<u64>,
-    /// Wall-clock deadline in milliseconds. **Not deterministic.**
-    pub deadline_ms: Option<f64>,
-}
-
-impl SolveBudget {
-    /// No limits beyond the existing `node_limit` (the default).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// True when any configured limit is met or exceeded.
-    fn exhausted(&self, pivots: u64, started: Option<std::time::Instant>) -> bool {
-        self.max_pivots.is_some_and(|cap| pivots >= cap)
-            || match (self.deadline_ms, started) {
-                (Some(ms), Some(t0)) => t0.elapsed().as_secs_f64() * 1000.0 >= ms,
-                _ => false,
-            }
-    }
-}
-
-/// Branch-and-bound search parameters.
+/// When the node limit or the pivot budget trips, the search stops and
+/// returns its best incumbent with [`MilpResult::degraded`] set: graceful
+/// degradation instead of an unbounded solve. Both limits are counted on
+/// the main search thread in fold order, so a seeded solve is reproducible.
 #[derive(Debug, Clone)]
-pub struct BnbConfig {
+pub struct SolverConfig {
     /// Maximum number of LP relaxations solved before giving up on proving
     /// optimality. The best incumbent found so far is still returned.
     pub node_limit: usize,
@@ -94,52 +70,63 @@ pub struct BnbConfig {
     pub parallel: bool,
     /// Run the diving heuristic at the root for a fast first incumbent.
     pub root_dive: bool,
-    /// A known-feasible starting point; validated (bounds, rows,
-    /// integrality) and installed as the initial incumbent if it passes.
-    /// Guarantees the search always returns *something* under tight node
-    /// budgets.
-    pub warm_start: Option<Vec<f64>>,
     /// Treat an *accepted* warm start as a strong incumbent: skip the root
     /// and in-tree diving heuristics, whose only role is incumbent supply.
     /// Under tight node budgets the dives dominate the LP-solve count, so
     /// a caller that already holds a high-quality incumbent (e.g. the
     /// repaired previous-slot schedule of the temporal-reuse layer) buys a
     /// large constant-factor speedup. Ignored when the warm start is
-    /// rejected or absent — the dives then run as usual.
+    /// rejected or absent: the dives then run as usual.
     pub trust_warm: bool,
-    /// Run the presolve reductions before the search (recommended; on the
-    /// BIRP per-slot problems it cuts node LP time several-fold).
-    pub presolve: bool,
     /// Warm-start child node LPs from their parent's engine snapshot
     /// (dual-simplex bound-shift re-optimisation instead of a full
     /// two-phase solve). Off is only useful for A/B validation.
     pub warm_nodes: bool,
-    /// Approximate cap, in bytes, on frontier memory spent on engine
-    /// snapshots. When the estimated footprint of the open nodes would
-    /// exceed this, new nodes are pushed without snapshots and re-solve
-    /// cold — a deterministic degradation, never an OOM.
-    pub warm_memory_budget: usize,
-    /// Tunables forwarded to the simplex engine (pivot cap).
+    /// Run the presolve reductions before the search (recommended; on the
+    /// BIRP per-slot problems it cuts node LP time several-fold). Off is
+    /// only useful for A/B validation.
+    pub presolve: bool,
+    /// Cap on cumulative simplex pivots across every node LP. Checked at
+    /// node boundaries: the in-flight LP always completes, so the root
+    /// relaxation runs even under `Some(1)`.
+    pub max_pivots: Option<u64>,
+    /// Tunables forwarded to the simplex engine (pivot cap, pricing).
     pub simplex: SimplexOptions,
-    /// Additional node/pivot/deadline limits (see [`SolveBudget`]).
-    pub budget: SolveBudget,
 }
 
-impl Default for BnbConfig {
+impl Default for SolverConfig {
     fn default() -> Self {
-        BnbConfig {
+        SolverConfig {
             node_limit: 20_000,
             rel_gap: 1e-6,
             parallel: false,
             root_dive: true,
-            warm_start: None,
             trust_warm: false,
-            presolve: true,
             warm_nodes: true,
-            warm_memory_budget: 256 << 20,
+            presolve: true,
+            max_pivots: None,
             simplex: SimplexOptions::default(),
-            budget: SolveBudget::default(),
         }
+    }
+}
+
+impl SolverConfig {
+    /// Preset used by the BIRP experiment runner: bounded node budget,
+    /// modest gap, parallel node evaluation. Gurobi-with-a-time-limit moral
+    /// equivalent.
+    pub fn scheduling() -> Self {
+        SolverConfig {
+            node_limit: 96,
+            rel_gap: 5e-3,
+            parallel: true,
+            ..Self::default()
+        }
+    }
+
+    /// True when `nodes` solved LPs or `pivots` spent pivots exhaust the
+    /// budget.
+    fn exhausted(&self, nodes: usize, pivots: u64) -> bool {
+        nodes >= self.node_limit || self.max_pivots.is_some_and(|cap| pivots >= cap)
     }
 }
 
@@ -182,7 +169,7 @@ pub struct MilpResult {
     pub gap: f64,
     /// LP relaxations solved.
     pub nodes: usize,
-    /// The search stopped on a node/pivot/deadline budget before proving
+    /// The search stopped on its node or pivot budget before proving
     /// optimality — the incumbent (if any) is best-effort.
     pub degraded: bool,
     /// Incumbent trajectory: one `(nodes_solved, objective, gap)` point per
@@ -321,21 +308,17 @@ fn note_incumbent(
     }
 }
 
-/// Solve the MILP by branch and bound.
-pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
+/// Solve the MILP by branch and bound. `warm_start` is a known-feasible
+/// point: validated (bounds, rows, integrality) and installed as the
+/// initial incumbent if it passes, which guarantees the search returns
+/// *something* under tight node budgets.
+pub fn branch_and_bound(
+    original: &MilpProblem,
+    cfg: &SolverConfig,
+    warm_start: Option<&[f64]>,
+) -> MilpResult {
     let _solve_span = telemetry::span("solver.solve");
     telemetry::counter("solver.solves", 1);
-    // Effective budgets: the node limit folds into the classic knob, pivots
-    // and the (optional, nondeterministic) deadline are checked at node
-    // boundaries alongside it.
-    let node_limit = cfg
-        .node_limit
-        .min(cfg.budget.max_nodes.unwrap_or(usize::MAX));
-    let budget_clock = cfg
-        .budget
-        .deadline_ms
-        .is_some()
-        .then(std::time::Instant::now);
     let mut pivots_total = 0u64;
     let mut budget_hit = false;
     // Presolve never removes columns, so indices and solutions line up with
@@ -398,14 +381,14 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     let mut warm_installed = false;
 
     // Install a validated warm start as the initial incumbent.
-    if let Some(ws) = &cfg.warm_start {
+    if let Some(ws) = warm_start {
         let mut installed = false;
         if ws.len() == n {
             let integral = problem
                 .integers
                 .iter()
                 .all(|&j| (ws[j] - ws[j].round()).abs() < INT_TOL);
-            let mut snapped = ws.clone();
+            let mut snapped = ws.to_vec();
             snap_integers(&mut snapped, &problem.integers);
             let violation = problem.lp.max_violation(&snapped);
             if integral && violation < 1e-6 {
@@ -481,7 +464,7 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
 
     let (root_branch, _) = branch_var(&root_sol.x, &problem.integers, &root.lower, &root.upper);
     if let Some((j, v)) = root_branch {
-        if nodes_solved >= node_limit || cfg.budget.exhausted(pivots_total, budget_clock) {
+        if cfg.exhausted(nodes_solved, pivots_total) {
             // Budget spent on the root alone: skip the dive (it is dozens
             // of LP solves) and fall straight through to the report with
             // whatever incumbent the warm start installed.
@@ -538,7 +521,7 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     // well-placed ones capture nearly all their value.
     let mut tree_dives_left = if trust_dives_off { 0 } else { 3 };
     'outer: while !budget_hit && !heap.is_empty() {
-        if nodes_solved >= node_limit || cfg.budget.exhausted(pivots_total, budget_clock) {
+        if cfg.exhausted(nodes_solved, pivots_total) {
             budget_hit = true;
             break;
         }
@@ -577,8 +560,7 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
         // the frontier may already be holding? Computed from heap/wave
         // sizes on the main thread, so seeded runs always agree.
         let want_snaps = cfg.warm_nodes
-            && (heap.len() + 2 * wave.len()).saturating_mul(est_snap_bytes)
-                <= cfg.warm_memory_budget;
+            && (heap.len() + 2 * wave.len()).saturating_mul(est_snap_bytes) <= WARM_MEMORY_BUDGET;
         if cfg.warm_nodes && !want_snaps {
             telemetry::counter("solver.warm_budget_skips", wave.len() as u64);
         }
@@ -877,8 +859,9 @@ mod tests {
     fn knapsack_small() {
         // values 10, 13, 7; weights 3, 4, 2; cap 5 -> best = {10, 7} = 17
         let p = knapsack(&[10.0, 13.0, 7.0], &[3.0, 4.0, 2.0], 5.0);
-        let r = branch_and_bound(&p, &BnbConfig::default());
+        let r = branch_and_bound(&p, &SolverConfig::default(), None);
         assert_eq!(r.status, MilpStatus::Optimal);
+        assert!(!r.degraded);
         assert!((r.objective + 17.0).abs() < 1e-6, "obj={}", r.objective);
     }
 
@@ -889,17 +872,19 @@ mod tests {
         let p = knapsack(&values, &weights, 15.0);
         let serial = branch_and_bound(
             &p,
-            &BnbConfig {
+            &SolverConfig {
                 parallel: false,
                 ..Default::default()
             },
+            None,
         );
         let par = branch_and_bound(
             &p,
-            &BnbConfig {
+            &SolverConfig {
                 parallel: true,
                 ..Default::default()
             },
+            None,
         );
         assert_eq!(serial.status, MilpStatus::Optimal);
         assert_eq!(par.status, MilpStatus::Optimal);
@@ -917,7 +902,7 @@ mod tests {
             lp,
             integers: vec![0, 1],
         };
-        let r = branch_and_bound(&p, &BnbConfig::default());
+        let r = branch_and_bound(&p, &SolverConfig::default(), None);
         assert_eq!(r.status, MilpStatus::Infeasible);
     }
 
@@ -933,7 +918,7 @@ mod tests {
             lp,
             integers: vec![1],
         };
-        let r = branch_and_bound(&p, &BnbConfig::default());
+        let r = branch_and_bound(&p, &SolverConfig::default(), None);
         assert_eq!(r.status, MilpStatus::Optimal);
         assert!((r.x[1] - 2.0).abs() < 1e-9);
         assert!((r.x[0] - 0.5).abs() < 1e-6);
@@ -948,11 +933,13 @@ mod tests {
         let p = knapsack(&values, &weights, 30.0);
         let r = branch_and_bound(
             &p,
-            &BnbConfig {
+            &SolverConfig {
                 node_limit: 3,
                 ..Default::default()
             },
+            None,
         );
+        assert!(r.nodes <= 3, "nodes={}", r.nodes);
         assert!(matches!(
             r.status,
             MilpStatus::Feasible | MilpStatus::Optimal
@@ -974,7 +961,7 @@ mod tests {
             lp,
             integers: vec![0, 1],
         };
-        let r = branch_and_bound(&p, &BnbConfig::default());
+        let r = branch_and_bound(&p, &SolverConfig::default(), None);
         assert_eq!(r.status, MilpStatus::Optimal);
         assert_eq!(r.nodes, 1);
         assert!((r.objective - 4.0).abs() < 1e-6);
@@ -987,13 +974,11 @@ mod tests {
         let p = knapsack(&values, &weights, 35.0);
         let r = branch_and_bound(
             &p,
-            &BnbConfig {
-                budget: SolveBudget {
-                    max_pivots: Some(1),
-                    ..SolveBudget::unlimited()
-                },
+            &SolverConfig {
+                max_pivots: Some(1),
                 ..Default::default()
             },
+            None,
         );
         // Never a panic: either a (degraded) incumbent from the root dive or
         // an explicitly exhausted Feasible with infinite objective.
@@ -1002,37 +987,6 @@ mod tests {
             assert!(p.lp.max_violation(&r.x) < 1e-6);
         }
         assert!(r.degraded);
-    }
-
-    #[test]
-    fn node_budget_caps_nodes_solved() {
-        let values: Vec<f64> = (1..=24).map(|i| (i as f64 * 7.3) % 13.0 + 1.0).collect();
-        let weights: Vec<f64> = (1..=24).map(|i| (i as f64 * 3.1) % 9.0 + 1.0).collect();
-        let p = knapsack(&values, &weights, 35.0);
-        let r = branch_and_bound(
-            &p,
-            &BnbConfig {
-                budget: SolveBudget {
-                    max_nodes: Some(2),
-                    ..SolveBudget::unlimited()
-                },
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        assert!(r.nodes <= 2, "nodes={}", r.nodes);
-        assert!(matches!(
-            r.status,
-            MilpStatus::Feasible | MilpStatus::Optimal
-        ));
-    }
-
-    #[test]
-    fn unlimited_budget_leaves_result_untouched() {
-        let p = knapsack(&[10.0, 13.0, 7.0], &[3.0, 4.0, 2.0], 5.0);
-        let r = branch_and_bound(&p, &BnbConfig::default());
-        assert_eq!(r.status, MilpStatus::Optimal);
-        assert!(!r.degraded);
     }
 
     #[test]

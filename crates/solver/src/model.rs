@@ -13,72 +13,8 @@ use std::collections::HashMap;
 use crate::error::SolverError;
 use crate::expr::{LinExpr, VarId, VarKind};
 use crate::lp::{LpProblem, LpSolution, RowCmp};
-use crate::milp::{
-    branch_and_bound, BnbConfig, MilpProblem, MilpResult, MilpStatus, RootDive, SolveBudget,
-};
-use crate::simplex::{solve_bounded, SimplexOptions};
-
-/// Configuration forwarded to branch and bound.
-#[derive(Debug, Clone)]
-pub struct SolverConfig {
-    /// Maximum LP relaxations solved before returning the incumbent.
-    pub node_limit: usize,
-    /// Relative optimality gap at which the search stops.
-    pub rel_gap: f64,
-    /// Evaluate frontier nodes in rayon-parallel waves.
-    pub parallel: bool,
-    /// Run the diving heuristic at the root.
-    pub root_dive: bool,
-    /// Skip the diving heuristics entirely when a warm start was accepted
-    /// as the initial incumbent (see [`BnbConfig::trust_warm`]). Set per
-    /// solve by callers that hold a known-strong incumbent, such as the
-    /// temporal-reuse layer's repaired previous-slot schedule.
-    pub trust_warm: bool,
-    /// Warm-start node LPs from parent basis snapshots (dual-simplex
-    /// re-optimisation). Disable only for A/B validation of the warm path.
-    pub warm_nodes: bool,
-    /// Run presolve reductions before branch and bound. On by default;
-    /// disable only for A/B validation (e.g. the conformance differential
-    /// suite cross-checks both paths against a brute-force oracle).
-    pub presolve: bool,
-    /// Simplex engine tunables (pivot cap, partial-pricing candidate list).
-    pub simplex: SimplexOptions,
-    /// Hard degradation budget (nodes / pivots / wall-clock). On exhaustion
-    /// the solve returns its best incumbent flagged `degraded`, or
-    /// [`SolverError::BudgetExhausted`] if no incumbent exists yet.
-    pub budget: SolveBudget,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            node_limit: 20_000,
-            rel_gap: 1e-6,
-            parallel: false,
-            root_dive: true,
-            trust_warm: false,
-            warm_nodes: true,
-            presolve: true,
-            simplex: SimplexOptions::default(),
-            budget: SolveBudget::unlimited(),
-        }
-    }
-}
-
-impl SolverConfig {
-    /// Preset used by the BIRP experiment runner: bounded node budget,
-    /// modest gap, parallel node evaluation. Gurobi-with-a-time-limit moral
-    /// equivalent.
-    pub fn scheduling() -> Self {
-        SolverConfig {
-            node_limit: 96,
-            rel_gap: 5e-3,
-            parallel: true,
-            root_dive: true,
-            ..Self::default()
-        }
-    }
-}
+use crate::milp::{branch_and_bound, MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig};
+use crate::simplex::solve_bounded;
 
 /// Terminal status of a model solve that produced a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -446,29 +382,10 @@ impl Model {
     pub fn solve_warm(
         &self,
         cfg: &SolverConfig,
-        warm_start: Option<Vec<f64>>,
+        warm_start: Option<&[f64]>,
     ) -> Result<Solution, SolverError> {
         let milp = self.to_milp()?;
-        let bnb = BnbConfig {
-            warm_start,
-            ..Self::bnb_config(cfg)
-        };
-        Self::solution(branch_and_bound(&milp, &bnb))
-    }
-
-    fn bnb_config(cfg: &SolverConfig) -> BnbConfig {
-        BnbConfig {
-            node_limit: cfg.node_limit,
-            rel_gap: cfg.rel_gap,
-            parallel: cfg.parallel,
-            root_dive: cfg.root_dive,
-            trust_warm: cfg.trust_warm,
-            presolve: cfg.presolve,
-            warm_nodes: cfg.warm_nodes,
-            simplex: cfg.simplex,
-            budget: cfg.budget,
-            ..BnbConfig::default()
-        }
+        Self::solution(branch_and_bound(&milp, cfg, warm_start))
     }
 
     fn solution(res: MilpResult) -> Result<Solution, SolverError> {

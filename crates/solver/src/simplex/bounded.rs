@@ -52,28 +52,17 @@ const AUTO_DENSE_CUTOVER: usize = 8192;
 /// `Auto` picks per problem by the `m × ncols` work product (see
 /// [`AUTO_DENSE_CUTOVER`]); warm restarts follow the core that produced the
 /// snapshot. The dense tableau core remains fully supported as the
-/// differential anchor for the sparse rewrite — force it with `Dense`, the
-/// `--dense-simplex` CLI flag, or the `dense-fallback` cargo feature (which
-/// flips the default for an entire build).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// differential anchor for the sparse rewrite: force it with `Dense`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimplexMode {
     /// Choose per problem size (default).
+    #[default]
     Auto,
     /// Always the dense tableau core.
     Dense,
     /// Always the sparse revised core (still falls back to dense, then
     /// reference, on numerical trouble).
     Sparse,
-}
-
-impl Default for SimplexMode {
-    fn default() -> Self {
-        if cfg!(feature = "dense-fallback") {
-            SimplexMode::Dense
-        } else {
-            SimplexMode::Auto
-        }
-    }
 }
 
 /// Tunables for the bounded-variable engine.
@@ -92,17 +81,9 @@ pub struct SimplexOptions {
     /// Partial-pricing candidate-list size. `1` degenerates to
     /// single-candidate sectional pricing, large values approach full
     /// Dantzig pricing; either extreme must produce the same optimum, which
-    /// the conformance suite exercises.
+    /// the conformance suite exercises. The sparse core caps it further
+    /// (see `SPARSE_CAND_CAP` in `revised.rs`).
     pub candidate_cap: usize,
-    /// Sparse-core ceiling on the candidate list. The revised core prices
-    /// candidates on demand against the current multipliers, so a short
-    /// list that refills often keeps devex scores fresher than a long one
-    /// coasting on stale weights — measurably fewer iterations on the
-    /// dense-ish bench instances. Applied as
-    /// `min(candidate_cap, sparse_candidate_cap)`, so conformance configs
-    /// that pin `candidate_cap` to an extreme still exercise the sparse
-    /// core at that extreme. The dense tableau core ignores this knob.
-    pub sparse_candidate_cap: usize,
     /// Which core runs the solve (see [`SimplexMode`]).
     pub mode: SimplexMode,
     /// Sparse core: scheduled refactorization cadence — rebuild the LU
@@ -117,7 +98,6 @@ impl Default for SimplexOptions {
             pivot_cap_base: 200_000,
             pivot_cap_per_dim: 100,
             candidate_cap: CAND_MAX,
-            sparse_candidate_cap: 8,
             mode: SimplexMode::default(),
             refactor_interval: 64,
         }

@@ -5,7 +5,7 @@
 //! test files run as their own process, so this file cannot race the
 //! facade tests, but two `#[test]`s here could race each other).
 
-use birp_solver::{Model, SolveBudget, SolverConfig, SolverError};
+use birp_solver::{Model, SolverConfig, SolverError};
 use birp_telemetry as telemetry;
 
 /// A solve that dies on its pivot budget with open nodes and no incumbent
@@ -31,10 +31,7 @@ fn budget_exhausted_solve_still_records_final_gap() {
     let cfg = SolverConfig {
         presolve: false,
         root_dive: false,
-        budget: SolveBudget {
-            max_pivots: Some(1),
-            ..SolveBudget::unlimited()
-        },
+        max_pivots: Some(1),
         ..SolverConfig::default()
     };
     let err = m

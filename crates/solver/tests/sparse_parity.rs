@@ -20,7 +20,7 @@
 
 use birp_solver::lp::{LpProblem, RowCmp};
 use birp_solver::simplex::{SimplexEngine, SimplexMode, SimplexOptions};
-use birp_solver::{LpStatus, SolveBudget, SolverConfig};
+use birp_solver::{LpStatus, SolverConfig};
 use proptest::prelude::*;
 
 fn opts(mode: SimplexMode) -> SimplexOptions {
@@ -164,8 +164,8 @@ fn toggle_configs(mode: SimplexMode) -> Vec<(&'static str, SolverConfig)> {
         trust_warm: false,
         warm_nodes: true,
         presolve: true,
+        max_pivots: None,
         simplex: opts(mode),
-        budget: SolveBudget::unlimited(),
     };
     vec![
         ("default", base.clone()),

@@ -5,10 +5,10 @@
 //! `birp_conformance::strategies`, shared with the other solver proptests.
 
 use birp_conformance::strategies::{arb_ip, brute_force_milp as brute_force};
-use birp_solver::milp::{branch_and_bound, BnbConfig, MilpProblem, MilpStatus};
+use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus};
 use birp_solver::presolve::{presolve, PresolveStatus};
 use birp_solver::simplex::{solve_bounded, solve_reference};
-use birp_solver::LpStatus;
+use birp_solver::{LpStatus, SolverConfig};
 use proptest::prelude::*;
 
 /// Promoted from `warm_and_presolve.proptest-regressions`: a single binary
@@ -34,7 +34,7 @@ fn regression_fractional_equality_is_integer_infeasible() {
         brute_force(&p).is_none(),
         "no lattice point satisfies the row"
     );
-    let r = branch_and_bound(&p, &BnbConfig::default());
+    let r = branch_and_bound(&p, &SolverConfig::default(), None);
     assert_eq!(r.status, MilpStatus::Infeasible);
 }
 
@@ -71,7 +71,7 @@ proptest! {
     /// Branch and bound (with presolve inside) still matches brute force.
     #[test]
     fn bnb_with_presolve_matches_brute_force(p in arb_ip()) {
-        let r = branch_and_bound(&p, &BnbConfig::default());
+        let r = branch_and_bound(&p, &SolverConfig::default(), None);
         match brute_force(&p) {
             None => prop_assert_eq!(r.status, MilpStatus::Infeasible),
             Some((best, _)) => {
@@ -87,15 +87,14 @@ proptest! {
     #[test]
     fn warm_start_is_honoured(p in arb_ip()) {
         if let Some((best, point)) = brute_force(&p) {
-            let cfg = BnbConfig {
-                warm_start: Some(point),
+            let cfg = SolverConfig {
                 // Zero search budget beyond the root: the warm start must
                 // carry the result on its own.
                 node_limit: 1,
                 root_dive: false,
                 ..Default::default()
             };
-            let r = branch_and_bound(&p, &cfg);
+            let r = branch_and_bound(&p, &cfg, Some(point.as_slice()));
             prop_assert!(matches!(r.status, MilpStatus::Optimal | MilpStatus::Feasible));
             prop_assert!(r.objective <= best + 1e-6,
                 "warm start lost: got {} expected <= {}", r.objective, best);
@@ -109,8 +108,7 @@ proptest! {
         let n = p.lp.num_cols();
         // A point far outside every bound.
         let bad = vec![1e9; n];
-        let cfg = BnbConfig { warm_start: Some(bad), ..Default::default() };
-        let r = branch_and_bound(&p, &cfg);
+        let r = branch_and_bound(&p, &SolverConfig::default(), Some(bad.as_slice()));
         match brute_force(&p) {
             None => prop_assert_eq!(r.status, MilpStatus::Infeasible),
             Some((best, _)) => {

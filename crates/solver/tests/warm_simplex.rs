@@ -13,9 +13,9 @@
 
 use birp_conformance::strategies::arb_ip;
 use birp_solver::lp::{LpProblem, RowCmp};
-use birp_solver::milp::{branch_and_bound, BnbConfig, MilpProblem, MilpStatus};
+use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus};
 use birp_solver::simplex::solve_bounded;
-use birp_solver::{LpStatus, SimplexEngine, SimplexOptions};
+use birp_solver::{LpStatus, SimplexEngine, SimplexOptions, SolverConfig};
 use proptest::prelude::*;
 
 /// A random LP mirroring the cross-validation generator: n in 1..=6
@@ -140,16 +140,16 @@ fn check_chained_resolve(lp: LpProblem, lo: Vec<f64>, hi: Vec<f64>) -> Result<()
 }
 
 fn check_bnb_warm_vs_cold(p: MilpProblem) -> Result<(), String> {
-    let warm_cfg = BnbConfig {
+    let warm_cfg = SolverConfig {
         warm_nodes: true,
         ..Default::default()
     };
-    let cold_cfg = BnbConfig {
+    let cold_cfg = SolverConfig {
         warm_nodes: false,
         ..Default::default()
     };
-    let warm = branch_and_bound(&p, &warm_cfg);
-    let cold = branch_and_bound(&p, &cold_cfg);
+    let warm = branch_and_bound(&p, &warm_cfg, None);
+    let cold = branch_and_bound(&p, &cold_cfg, None);
     prop_assert_eq!(warm.status, cold.status, "status disagree");
     if warm.status == MilpStatus::Optimal {
         prop_assert!(
@@ -164,12 +164,12 @@ fn check_bnb_warm_vs_cold(p: MilpProblem) -> Result<(), String> {
 
 fn check_bnb_determinism(p: MilpProblem) -> Result<(), String> {
     for warm_nodes in [false, true] {
-        let cfg = BnbConfig {
+        let cfg = SolverConfig {
             warm_nodes,
             ..Default::default()
         };
-        let a = branch_and_bound(&p, &cfg);
-        let b = branch_and_bound(&p, &cfg);
+        let a = branch_and_bound(&p, &cfg, None);
+        let b = branch_and_bound(&p, &cfg, None);
         prop_assert_eq!(a.status, b.status, "status differs between identical runs");
         prop_assert_eq!(
             a.nodes,
