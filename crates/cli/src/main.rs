@@ -11,7 +11,7 @@
 //! birp trace      [--scale small|large] [--slots N] [--seed S] [--csv|--json]
 //! birp report     <run.jsonl>
 //! birp profile    <run.jsonl> [--out-dir DIR]
-//! birp bench-diff [--solver-bench out.txt] [--runner-json new.json] [--tolerance X]
+//! birp bench-diff --solver-bench out.txt [--tolerance X]
 //! birp conformance [--check] [--update-golden] [--oracle N] [--seed S]
 //! ```
 //!
@@ -44,7 +44,8 @@
 //! `birp profile` renders the same capture's causal spans as a Chrome
 //! trace-event file and a collapsed-stack (flamegraph) file plus the
 //! per-slot decision provenance table; `birp bench-diff` is the automated
-//! perf-regression gate against the committed `BENCH_*.json` baselines.
+//! perf-regression gate of the solver micro-benchmarks against the
+//! committed `BENCH_solver.json` baseline.
 //!
 //! Naming note: `birp trace` dumps a synthetic *workload* trace (demand per
 //! slot). Telemetry captures — execution traces — are produced by
@@ -137,7 +138,7 @@ const INTEGER_FLAGS: [&str; 7] = [
     "oracle",
 ];
 
-/// Flags whose value must parse as a number.
+/// Flags whose value must parse as a finite number above zero.
 const NUMBER_FLAGS: [&str; 1] = ["tolerance"];
 
 /// Flags whose value must be one of a fixed set.
@@ -182,16 +183,7 @@ fn command_spec(cmd: &str, operand: Option<&str>) -> Option<(usize, Vec<&'static
         "trace" => (0, &[&["scale", "slots", "seed", "csv", "json"]]),
         "report" => (1, &[]),
         "profile" => (1, &[&["out-dir"]]),
-        "bench-diff" => (
-            0,
-            &[&[
-                "solver-bench",
-                "runner-json",
-                "baseline-solver",
-                "baseline-runner",
-                "tolerance",
-            ]],
-        ),
+        "bench-diff" => (0, &[&["solver-bench", "baseline-solver", "tolerance"]]),
         "conformance" => (0, &[&["check", "update-golden", "oracle", "seed"]]),
         _ => return None,
     };
@@ -239,8 +231,12 @@ impl Args {
                     "--{name} takes a non-negative integer, got '{value}'"
                 ));
             }
-            if NUMBER_FLAGS.contains(&name) && value.parse::<f64>().is_err() {
-                return Err(format!("--{name} takes a number, got '{value}'"));
+            if NUMBER_FLAGS.contains(&name)
+                && !value.parse::<f64>().is_ok_and(|v| v.is_finite() && v > 0.0)
+            {
+                return Err(format!(
+                    "--{name} takes a finite number above zero, got '{value}'"
+                ));
             }
             if let Some((_, choices)) = CHOICE_FLAGS.iter().find(|(flag, _)| *flag == name) {
                 if !choices.contains(&value.as_str()) {
@@ -291,7 +287,7 @@ USAGE:
                     traces see --telemetry with `report` / `profile` below)
     birp report     <run.jsonl>
     birp profile    <run.jsonl> [--out-dir DIR]
-    birp bench-diff [--solver-bench out.txt] [--runner-json new.json] [--tolerance X]
+    birp bench-diff --solver-bench out.txt [--tolerance X]
     birp conformance [--check] [--update-golden] [--oracle N] [--seed S]
 
 CONFORMANCE:
@@ -338,13 +334,10 @@ PROFILE:
         Perfetto) and <stem>.folded.txt (flamegraph.pl / speedscope), and
         prints the capture header plus the per-slot decision provenance table
 
-BENCH-DIFF (perf-regression gate):
+BENCH-DIFF (solver micro-benchmark regression gate):
     --solver-bench <out.txt>   captured `cargo bench -p birp-bench --bench
                                solver_micro` output, diffed vs BENCH_solver.json
-    --runner-json <new.json>   regenerated runner_decide record (use
-                               BIRP_BENCH_RUNNER_OUT), diffed vs BENCH_runner.json
     --baseline-solver <path>   committed solver baseline (default BENCH_solver.json)
-    --baseline-runner <path>   committed runner baseline (default BENCH_runner.json)
     --tolerance <X>            fail when measured > baseline * X (default 2.0)
 "
     );
@@ -954,92 +947,37 @@ fn cmd_profile(args: &Args) -> ExitCode {
 fn cmd_bench_diff(args: &Args) -> ExitCode {
     use birp_bench::diff;
 
-    let tolerance = args.num("tolerance", 2.0f64);
-    if tolerance <= 0.0 {
-        eprintln!("--tolerance must be positive");
-        return ExitCode::from(2);
-    }
-    let solver_bench = args.get("solver-bench");
-    let runner_json = args.get("runner-json");
-    if solver_bench.is_none() && runner_json.is_none() {
+    let Some(bench_out) = args.get("solver-bench") else {
         eprintln!(
-            "bench-diff needs a fresh measurement: --solver-bench <criterion-out.txt> \
-             and/or --runner-json <regenerated BENCH_runner.json>"
+            "bench-diff needs a fresh measurement: --solver-bench <captured \
+             `cargo bench -p birp-bench --bench solver_micro` output>"
         );
         return ExitCode::from(2);
-    }
-
-    let read = |path: &str| -> Result<String, ExitCode> {
-        std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("cannot read {path}: {e}");
-            ExitCode::from(1)
-        })
     };
-
-    let mut failed = false;
-    if let Some(bench_out) = solver_bench {
-        let baseline_path = args.get("baseline-solver").unwrap_or("BENCH_solver.json");
-        let (bench_text, baseline_text) = match (read(bench_out), read(baseline_path)) {
-            (Ok(b), Ok(base)) => (b, base),
-            (Err(c), _) | (_, Err(c)) => return c,
-        };
-        let baseline = match diff::parse_solver_baseline(&baseline_text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{baseline_path}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let measured = diff::parse_criterion_output(&bench_text);
-        if measured.is_empty() {
-            eprintln!("{bench_out}: no `bench <name> <ns> ns/iter` lines found");
+    let tolerance = args.num("tolerance", 2.0f64);
+    let baseline_path = args.get("baseline-solver").unwrap_or("BENCH_solver.json");
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| eprintln!("cannot read {path}: {e}"))
+    };
+    let (Ok(bench_text), Ok(baseline_text)) = (read(bench_out), read(baseline_path)) else {
+        return ExitCode::from(1);
+    };
+    let baseline = match diff::parse_solver_baseline(&baseline_text) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("{baseline_path}: {e}");
             return ExitCode::from(1);
         }
-        let report = diff::compare(&baseline, &measured, tolerance);
-        println!("solver_micro vs {baseline_path} (tolerance {tolerance}x):");
-        print!("{}", report.render());
-        failed |= report.failed();
+    };
+    let measured = diff::parse_criterion_output(&bench_text);
+    if measured.is_empty() {
+        eprintln!("{bench_out}: no `bench <name> <ns> ns/iter` lines found");
+        return ExitCode::from(1);
     }
-    if let Some(fresh) = runner_json {
-        let baseline_path = args.get("baseline-runner").unwrap_or("BENCH_runner.json");
-        let (fresh_text, baseline_text) = match (read(fresh), read(baseline_path)) {
-            (Ok(f), Ok(base)) => (f, base),
-            (Err(c), _) | (_, Err(c)) => return c,
-        };
-        let report = match (
-            diff::parse_runner_record(&baseline_text),
-            diff::parse_runner_record(&fresh_text),
-        ) {
-            (Ok(base), Ok(meas)) => diff::compare(&base, &meas, tolerance),
-            (Err(e), _) => {
-                eprintln!("{baseline_path}: {e}");
-                return ExitCode::from(1);
-            }
-            (_, Err(e)) => {
-                eprintln!("{fresh}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        println!("\nrunner_decide vs {baseline_path} (tolerance {tolerance}x):");
-        print!("{}", report.render());
-        failed |= report.failed();
-        // Absolute bounds the fresh record carries for itself (checkpoint
-        // overhead ≤ 3%) — near-zero percentages would make a baseline
-        // ratio meaningless, so they gate on the measurement alone.
-        match diff::runner_acceptance_failures(&fresh_text) {
-            Ok(violations) => {
-                for v in &violations {
-                    println!("{v}  ABSOLUTE BOUND FAILED");
-                }
-                failed |= !violations.is_empty();
-            }
-            Err(e) => {
-                eprintln!("{fresh}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if failed {
+    let report = diff::compare(&baseline, &measured, tolerance);
+    println!("solver_micro vs {baseline_path} (tolerance {tolerance}x):");
+    print!("{}", report.render());
+    if report.failed() {
         eprintln!("\nperf regression gate FAILED (see REGRESSED rows above)");
         ExitCode::from(1)
     } else {

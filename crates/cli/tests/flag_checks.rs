@@ -10,6 +10,10 @@
 //! naming the flag, instead of resuming the run under other decisions than
 //! it started with. A spec that records them as unset (0 or false), as
 //! every other run wrote it, still resumes.
+//!
+//! `bench-diff` refuses the flags of its removed runner half, runs only with
+//! `--solver-bench`, and refuses a `--tolerance` that is not a finite number
+//! above zero, since no measurement can regress against NaN or infinity.
 
 use std::path::Path;
 use std::process::{Command, Output, Stdio};
@@ -38,7 +42,7 @@ const KEYS: [(&str, Value, Value, &str); 3] = [
 
 /// Command lines refused with exit 2, each with the flag (or, for a missing
 /// or unknown `repro` figure, the usage line) the refusal names.
-const REFUSED: [(&[&str], &str); 18] = [
+const REFUSED: [(&[&str], &str); 25] = [
     (&["run", "--slots", "2", "--shards", "2"], "--shards"),
     (
         &["run", "--slots", "2", "--cluster-size", "2"],
@@ -60,6 +64,16 @@ const REFUSED: [(&[&str], &str); 18] = [
         "--log-level",
     ),
     (&["bench-diff", "--tolerance", "two"], "--tolerance"),
+    (&["bench-diff", "--tolerance", "NaN"], "--tolerance"),
+    (&["bench-diff", "--tolerance", "inf"], "--tolerance"),
+    (&["bench-diff", "--tolerance", "0"], "--tolerance"),
+    (&["bench-diff", "--tolerance", "-1"], "--tolerance"),
+    (&["bench-diff", "--tolerance", "2.5"], "--solver-bench"),
+    (&["bench-diff", "--runner-json", "x"], "--runner-json"),
+    (
+        &["bench-diff", "--baseline-runner", "x"],
+        "--baseline-runner",
+    ),
     (&["repro", "table1", "--slots", "8"], "--slots"),
     (&["repro", "fig4", "--no-reuse"], "--no-reuse"),
     (&["repro", "fig2", "--reps", "0"], "--reps"),

@@ -450,6 +450,7 @@ pub fn run_scheduler_resumable(
         // whole number of executed slots, never a torn slot.
         if shutdown.is_some_and(|s| s.load(Ordering::SeqCst)) {
             if let Some(p) = policy {
+                let _checkpoint_span = telemetry::span("runner.checkpoint");
                 // Flush any in-flight periodic save first so the synchronous
                 // shutdown save below lands last (and therefore wins).
                 if let Some(e) = writer.take().and_then(AsyncCheckpointer::finish) {
@@ -781,9 +782,11 @@ pub fn run_scheduler_resumable(
         // about to land anyway). Only the in-memory snapshot happens here —
         // serialisation and the fsynced atomic write run on the background
         // writer. A failed periodic save must not kill a healthy run: warn
-        // and carry on.
+        // and carry on. The `runner.checkpoint` span is what checkpointing
+        // costs the slot loop; it opens only under a policy.
         if let Some(p) = policy {
             if p.every > 0 && (t + 1) % p.every == 0 && t + 1 < trace.num_slots() {
+                let _checkpoint_span = telemetry::span("runner.checkpoint");
                 let ck = RunCheckpoint {
                     spec: p.spec.clone(),
                     runner: snapshot(

@@ -970,7 +970,7 @@ impl SpanContext {
 /// True when fine-grained (per-wave / per-node) spans should be created:
 /// telemetry is on *and* the minimum level is `Trace`. Hot loops check this
 /// once so the default `Debug` level pays nothing per node (the ≤ 5%
-/// overhead budget on `runner_decide`).
+/// overhead budget, perfbench's `trace_overhead_pct`).
 #[inline]
 pub fn trace_spans() -> bool {
     enabled() && MIN_LEVEL.load(Ordering::Relaxed) == Level::Trace as u8
