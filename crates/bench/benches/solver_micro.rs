@@ -9,7 +9,7 @@ use std::hint::black_box;
 use birp_core::{DemandMatrix, ProblemConfig, SlotProblem, TirMatrix};
 use birp_models::{AppId, Catalog, EdgeId};
 use birp_solver::lp::{LpProblem, RowCmp};
-use birp_solver::milp::{branch_and_bound, MilpProblem};
+use birp_solver::milp::{branch_and_bound, MilpProblem, WarmStart};
 use birp_solver::simplex::{
     solve_bounded, solve_reference, with_engine, SimplexMode, SimplexOptions,
 };
@@ -183,7 +183,13 @@ fn bench_bnb(c: &mut Criterion) {
     for &n in &[12usize, 18, 24] {
         let p = knapsack(n);
         g.bench_function(format!("knapsack_{n}"), |b| {
-            b.iter(|| black_box(branch_and_bound(&p, &SolverConfig::default(), None)))
+            b.iter(|| {
+                black_box(branch_and_bound(
+                    &p,
+                    &SolverConfig::default(),
+                    WarmStart::default(),
+                ))
+            })
         });
     }
     let p = knapsack(24);
@@ -195,7 +201,7 @@ fn bench_bnb(c: &mut Criterion) {
                     parallel: true,
                     ..Default::default()
                 },
-                None,
+                WarmStart::default(),
             ))
         })
     });
@@ -254,7 +260,7 @@ fn bench_node_throughput(c: &mut Criterion) {
             ..Default::default()
         };
         g.bench_function(format!("slot_256_nodes_{label}"), |b| {
-            b.iter(|| black_box(branch_and_bound(&milp, &cfg, None)))
+            b.iter(|| black_box(branch_and_bound(&milp, &cfg, WarmStart::default())))
         });
     }
     g.finish();

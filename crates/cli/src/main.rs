@@ -788,8 +788,10 @@ fn cmd_report(args: &Args) -> ExitCode {
         }
     };
     let mut counts: std::collections::BTreeMap<String, u64> = Default::default();
-    // Slots per (decide path, root-dive outcome), from `birp.provenance`.
+    // Slots per (decide path, root-dive outcome), and full solves per root
+    // basis, from `birp.provenance`.
     let mut paths: std::collections::BTreeMap<(String, String), u64> = Default::default();
+    let mut root_bases: std::collections::BTreeMap<String, u64> = Default::default();
     let mut summary: Option<telemetry::TelemetrySummary> = None;
     let mut meta: Option<serde_json::Value> = None;
     let (mut records, mut unparsable) = (0u64, 0u64);
@@ -822,6 +824,9 @@ fn cmd_report(args: &Args) -> ExitCode {
             *paths
                 .entry((field("path"), field("root_dive")))
                 .or_insert(0) += 1;
+            if field("path") == "full_solve" {
+                *root_bases.entry(field("root_basis")).or_insert(0) += 1;
+            }
         }
         *counts.entry(name).or_insert(0) += 1;
     }
@@ -849,6 +854,12 @@ fn cmd_report(args: &Args) -> ExitCode {
         );
         for ((path, dive), n) in &paths {
             println!("{path:<14}  {dive:<9}  {n:>8}");
+        }
+    }
+    if !root_bases.is_empty() {
+        println!("\n{:<10}  {:>11}", "root basis", "full solves");
+        for (basis, n) in &root_bases {
+            println!("{basis:<10}  {n:>11}");
         }
     }
     match &summary {

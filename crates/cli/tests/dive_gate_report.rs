@@ -2,7 +2,10 @@
 //! seen through the capture: every `birp.provenance` record names what the
 //! root dive did, the gate closes only after eight full solves whose dive
 //! missed, a closed gate probes every sixteenth full solve, and
-//! `birp report` tallies the outcomes per decide path.
+//! `birp report` tallies the outcomes per decide path. The same records
+//! name each root LP's start: at this scale presolve keeps the guide LP's
+//! rows, so full solves restore its basis (DESIGN.md §3), and the report
+//! tallies full solves per root basis.
 
 use std::process::{Command, Stdio};
 
@@ -40,10 +43,18 @@ fn large_run_gates_the_dive_and_report_tallies_it() {
             ["not_run", "missed", "hit", "gated"].contains(&dive.as_str()),
             "{r:?}"
         );
+        let basis = field(r, "root_basis");
+        assert!(["guide", "cold"].contains(&basis.as_str()), "{r:?}");
         if field(r, "path") != "full_solve" {
             assert_eq!(dive, "not_run", "only full solves dive: {r:?}");
+            assert_eq!(basis, "cold", "only full solves run a root LP: {r:?}");
         }
     }
+    let restored = provenance
+        .iter()
+        .filter(|r| field(r, "path") == "full_solve" && field(r, "root_basis") == "guide")
+        .count();
+    assert!(restored > 0, "no full solve restored the guide basis");
 
     let dives: Vec<String> = provenance
         .iter()
@@ -86,5 +97,12 @@ fn large_run_gates_the_dive_and_report_tallies_it() {
     assert!(
         row.ends_with(&format!(" {gated}")),
         "row {row:?}, {gated} gated"
+    );
+    let restored = restored.to_string();
+    assert!(
+        report
+            .lines()
+            .any(|l| l.split_whitespace().eq(["guide", restored.as_str()])),
+        "report has no guide/{restored} root-basis row:\n{report}"
     );
 }

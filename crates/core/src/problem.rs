@@ -26,8 +26,8 @@ use birp_models::catalog::MAX_BATCH;
 use birp_models::{Catalog, EdgeId, ModelId};
 use birp_sim::{Deployment, Schedule};
 use birp_solver::{
-    LinExpr, Model, ModelStatus, RootDive, RowId, Solution, SolverConfig, SolverError, VarId,
-    VarKind,
+    EngineSnapshot, LinExpr, LpSolution, LpStatus, Model, ModelStatus, RootDive, RowId, Solution,
+    SolverConfig, SolverError, VarId, VarKind, WarmStart,
 };
 use birp_telemetry as telemetry;
 use birp_tir::{linear_coeffs, TirParams};
@@ -187,6 +187,10 @@ pub struct SolveStats {
     /// Outcome of the solve's root dive.
     #[serde(default)]
     pub root_dive: RootDiveOutcome,
+    /// The solve's root LP was restored from the guide LP's basis instead
+    /// of solved cold (DESIGN.md §3).
+    #[serde(default)]
+    pub root_restored: bool,
 }
 
 /// Everything that varies slot-to-slot and enters the lowered model: the
@@ -439,9 +443,12 @@ pub struct SlotProblem {
     /// computed at build time; branch and bound starts from its objective
     /// as the incumbent cutoff.
     warm: Vec<f64>,
-    /// Objective of the root LP relaxation, captured from the warm-start
-    /// guide solve (the dual bound any integer point is certified against).
-    root_obj: Option<f64>,
+    /// The guide LP, when it solved to optimality: the relaxation's point
+    /// (it steers the packing and is OAEI's rounding input), its objective
+    /// (the root bound any integer point is certified against) and its
+    /// basis (the branch-and-bound root starts there). Derived state: every
+    /// `derive` sets or clears it, and it is never serialized.
+    guide: Option<Guide>,
     /// Outcome of the temporal-reuse repair pass, when one ran.
     reuse_outcome: Option<ReuseOutcome>,
     /// Objective coefficient per variable (point-evaluation without
@@ -457,6 +464,13 @@ pub struct SlotProblem {
     mem_rows: Vec<RowId>,
     compute_rows: Vec<RowId>,
     net_rows: Vec<RowId>,
+}
+
+/// The optimal guide LP of one derive: the cold relaxation solve and the
+/// engine snapshot of its basis.
+struct Guide {
+    lp: LpSolution,
+    basis: Option<EngineSnapshot>,
 }
 
 impl SlotProblem {
@@ -1046,7 +1060,7 @@ impl SlotProblem {
             inn,
             o,
             warm: Vec::new(),
-            root_obj: None,
+            guide: None,
             reuse_outcome: None,
             obj_coeffs: Vec::new(),
             inputs,
@@ -1058,13 +1072,15 @@ impl SlotProblem {
         }
     }
 
-    /// Recompute the derived state — guide-LP root bound, packed warm
-    /// start, objective coefficients, temporal-reuse repair outcome — on
-    /// the current model. Reads only the lowered model, the stored input
-    /// fingerprint, the catalog statics and its own arguments, so a
-    /// refreshed model derives exactly what a fresh build would (the LP
-    /// guide stays a cold solve on purpose: warm-starting it could land on
-    /// a different optimal vertex and break bitwise reproducibility).
+    /// Recompute the derived state — guide LP (root bound and basis),
+    /// packed warm start, objective coefficients, temporal-reuse repair
+    /// outcome — on the current model. Reads only the lowered model, the
+    /// stored input fingerprint, the catalog statics and its own
+    /// arguments, so a refreshed model derives exactly what a fresh build
+    /// would (the LP guide stays a cold solve on purpose: warm-starting it
+    /// could land on a different optimal vertex and break bitwise
+    /// reproducibility). A lean derive (`guide_lp` off) clears the guide,
+    /// so no stale basis reaches a later solve.
     fn derive(&mut self, catalog: &Catalog, reuse: Option<&Schedule>, guide_lp: bool) {
         // --- warm start: LP-guided greedy packing with redistribution ---
         // The LP relaxation knows the right *structure* (which models carry
@@ -1072,18 +1088,16 @@ impl SlotProblem {
         // machinery adds the integrality and budget discipline the LP
         // lacks. Feasible by construction — the incumbent cutoff branch
         // and bound starts from.
-        let lp_root = if guide_lp {
+        self.guide = if guide_lp {
             let _guide_span = telemetry::span("problem.guide_lp");
-            self.model
-                .solve_relaxation()
-                .ok()
-                .filter(|s| s.status == birp_solver::LpStatus::Optimal)
+            self.model.solve_relaxation().ok().and_then(|(lp, basis)| {
+                telemetry::counter("problem.guide_pivots", lp.iterations as u64);
+                (lp.status == LpStatus::Optimal).then_some(Guide { lp, basis })
+            })
         } else {
             None
         };
-        self.root_obj = lp_root.as_ref().map(|s| s.objective);
-        let lp_guide: Option<Vec<f64>> = lp_root.map(|s| s.x);
-        let mut warm = self.packed_point(catalog, lp_guide.as_ref());
+        let mut warm = self.packed_point(catalog, self.guide.as_ref().map(|g| &g.lp.x));
 
         // Point objective without re-lowering: `Σ loss·b + penalty·o` (the
         // only variables with objective coefficients).
@@ -1393,7 +1407,7 @@ impl SlotProblem {
     /// Objective of the root LP relaxation — a lower bound on every
     /// feasible integer point. `None` when the guide LP failed.
     pub fn root_bound(&self) -> Option<f64> {
-        self.root_obj
+        self.guide.as_ref().map(|g| g.lp.objective)
     }
 
     /// The slot-varying input fingerprint this model was lowered from —
@@ -1435,19 +1449,21 @@ impl SlotProblem {
     /// proof.
     pub fn warm_schedule(&self) -> (Schedule, SolveStats) {
         let obj = self.point_objective(&self.warm);
-        let gap = self.root_obj.map_or(f64::INFINITY, |root| {
+        let root = self.root_bound();
+        let gap = root.map_or(f64::INFINITY, |root| {
             (obj - root).max(0.0) / obj.abs().max(1.0)
         });
         let sol = Solution {
             status: ModelStatus::Feasible,
             objective: obj,
             values: self.warm.clone(),
-            bound: self.root_obj.unwrap_or(f64::NEG_INFINITY),
+            bound: root.unwrap_or(f64::NEG_INFINITY),
             gap,
             nodes: 0,
             degraded: false,
             incumbents: vec![(0, obj, gap)],
             root_dive: RootDive::NotRun,
+            root_restored: false,
         };
         let stats = SolveStats {
             objective: obj,
@@ -1457,15 +1473,21 @@ impl SlotProblem {
             degraded: false,
             incumbents: vec![(0, obj, gap)],
             root_dive: RootDiveOutcome::NotRun,
+            root_restored: false,
         };
         (self.decode(&sol), stats)
     }
 
     /// Solve and decode into a schedule. The loss-greedy warm start built
     /// alongside the model guarantees branch and bound always holds a
-    /// usable incumbent, even under the tightest node budgets.
+    /// usable incumbent, even under the tightest node budgets; the guide
+    /// LP's basis lets the root LP start at the relaxation's optimum.
     pub fn solve(&self, solver_cfg: &SolverConfig) -> Result<(Schedule, SolveStats), SolverError> {
-        let sol = self.model.solve_warm(solver_cfg, Some(&self.warm))?;
+        let warm = WarmStart {
+            point: Some(&self.warm),
+            basis: self.guide.as_ref().and_then(|g| g.basis.as_ref()),
+        };
+        let sol = self.model.solve_warm(solver_cfg, warm)?;
         Ok(self.decode_with_stats(&sol))
     }
 
@@ -1478,25 +1500,35 @@ impl SlotProblem {
             degraded: sol.degraded,
             incumbents: sol.incumbents.clone(),
             root_dive: sol.root_dive.into(),
+            root_restored: sol.root_restored,
         };
         (self.decode(sol), stats)
     }
 
     /// Fractional deployment variables of the LP relaxation — the input to
-    /// OAEI's randomised rounding.
+    /// OAEI's randomised rounding. Served from the guide LP when one
+    /// solved; solved here otherwise, so an infeasible or unbounded
+    /// relaxation still reports its error.
     pub fn relaxation_x(&self) -> Result<Vec<Vec<f64>>, SolverError> {
-        let lp = self.model.solve_relaxation()?;
-        match lp.status {
-            birp_solver::LpStatus::Optimal => Ok((0..self.num_edges)
-                .map(|e| {
-                    (0..self.num_models)
-                        .map(|m| lp.x[self.x[e][m].index()])
-                        .collect()
-                })
-                .collect()),
-            birp_solver::LpStatus::Infeasible => Err(SolverError::Infeasible),
-            birp_solver::LpStatus::Unbounded => Err(SolverError::Unbounded),
-        }
+        let solved;
+        let lp = match &self.guide {
+            Some(guide) => &guide.lp,
+            None => {
+                solved = self.model.solve_relaxation()?.0;
+                match solved.status {
+                    LpStatus::Optimal => &solved,
+                    LpStatus::Infeasible => return Err(SolverError::Infeasible),
+                    LpStatus::Unbounded => return Err(SolverError::Unbounded),
+                }
+            }
+        };
+        Ok((0..self.num_edges)
+            .map(|e| {
+                (0..self.num_models)
+                    .map(|m| lp.x[self.x[e][m].index()])
+                    .collect()
+            })
+            .collect())
     }
 
     /// Solve with the deployment variables pinned to `fixed` (OAEI's second
@@ -1524,17 +1556,8 @@ impl SlotProblem {
                 warm[ov.index()] = pinned.bounds(ov).1;
             }
         }
-        let sol = pinned.solve_warm(solver_cfg, Some(&warm))?;
-        let stats = SolveStats {
-            objective: sol.objective,
-            gap: sol.gap,
-            nodes: sol.nodes,
-            optimal: sol.status == ModelStatus::Optimal,
-            degraded: sol.degraded,
-            incumbents: sol.incumbents.clone(),
-            root_dive: sol.root_dive.into(),
-        };
-        Ok((self.decode(&sol), stats))
+        let sol = pinned.solve_warm(solver_cfg, WarmStart::point(&warm))?;
+        Ok(self.decode_with_stats(&sol))
     }
 
     /// Translate a solver point into a [`Schedule`].
@@ -1971,6 +1994,121 @@ mod tests {
             restored.refresh_with_reuse(&catalog, 1, &d1, &tir, Some(&s0), &cfg, Some(&s0), true);
         assert_eq!(a, b, "restored refresh must take the same path");
         assert_same_problem(&live, &restored);
+    }
+
+    /// Fig. 7 scale, where presolve keeps every row of the guide LP, so
+    /// each full solve's root restores the guide's basis (DESIGN.md §3).
+    /// Over eight slots of the large trace, with the reuse candidate on
+    /// and off, the persistent model's refresh and a scratch rebuild
+    /// decide bitwise alike with the root restored on both. A lean
+    /// (skip-path) refresh clears the basis: solving the lean problem
+    /// starts the root cold, and the next full refresh restores again.
+    #[test]
+    fn large_scale_root_restores_the_guide_basis_on_refresh_and_rebuild() {
+        const SLOTS: usize = 8;
+        let catalog = Catalog::large_scale(42);
+        let trace = birp_workload::TraceConfig {
+            num_slots: SLOTS,
+            ..birp_workload::TraceConfig::large_scale(42)
+        }
+        .generate();
+        let tir = TirMatrix::initial(&catalog);
+        let cfg = ProblemConfig::default();
+        // `birp run --scale large`: the scheduling preset, 16 nodes.
+        let solver = SolverConfig {
+            node_limit: 16,
+            ..SolverConfig::scheduling()
+        };
+        for reuse in [false, true] {
+            let mut live: Option<SlotProblem> = None;
+            let mut prev: Option<Schedule> = None;
+            for t in 0..SLOTS {
+                let demand = DemandMatrix::from_trace(&trace, t);
+                let cand = if reuse { prev.as_ref() } else { None };
+                let fresh = SlotProblem::build_with_reuse(
+                    &catalog,
+                    t,
+                    &demand,
+                    &tir,
+                    prev.as_ref(),
+                    &cfg,
+                    cand,
+                );
+                let p = match live.as_mut() {
+                    Some(p) => {
+                        let out = p.refresh_with_reuse(
+                            &catalog,
+                            t,
+                            &demand,
+                            &tir,
+                            prev.as_ref(),
+                            &cfg,
+                            cand,
+                            true,
+                        );
+                        assert!(matches!(out, DeltaOutcome::Applied(_)), "slot {t}: {out:?}");
+                        p
+                    }
+                    None => live.insert(SlotProblem::build_with_reuse(
+                        &catalog,
+                        t,
+                        &demand,
+                        &tir,
+                        prev.as_ref(),
+                        &cfg,
+                        cand,
+                    )),
+                };
+                assert_same_problem(p, &fresh);
+                let (sa, a) = p.solve(&solver).unwrap();
+                let (sb, b) = fresh.solve(&solver).unwrap();
+                assert_eq!(sa, sb, "reuse {reuse}, slot {t}: schedules diverged");
+                // Debug prints every float in its round-trip form: bitwise.
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "reuse {reuse}, slot {t}"
+                );
+                assert!(a.root_restored, "reuse {reuse}, slot {t}: root solved cold");
+                prev = Some(sa);
+            }
+
+            // Skip path: a lean refresh leaves no basis behind.
+            let p = live.as_mut().unwrap();
+            let demand = DemandMatrix::from_trace(&trace, SLOTS - 1);
+            let cand = if reuse { prev.as_ref() } else { None };
+            p.refresh_with_reuse(
+                &catalog,
+                SLOTS,
+                &demand,
+                &tir,
+                prev.as_ref(),
+                &cfg,
+                cand,
+                false,
+            );
+            assert!(p.guide.is_none(), "a lean refresh kept the guide");
+            let (_, lean) = p.solve(&solver).unwrap();
+            assert!(
+                !lean.root_restored,
+                "reuse {reuse}: stale basis reached the solve"
+            );
+            p.refresh_with_reuse(
+                &catalog,
+                SLOTS,
+                &demand,
+                &tir,
+                prev.as_ref(),
+                &cfg,
+                cand,
+                true,
+            );
+            let (_, full) = p.solve(&solver).unwrap();
+            assert!(
+                full.root_restored,
+                "reuse {reuse}: the full refresh solved cold"
+            );
+        }
     }
 
     #[test]

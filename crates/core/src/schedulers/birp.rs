@@ -135,7 +135,9 @@ fn lp_counter_snapshot() -> (u64, u64) {
 /// behind it — objective/gap/node counts, warm/cold LP deltas since decide
 /// entry, the quarantine mask in force, the incumbent trajectory and what
 /// the root dive did (`not_run` | `missed` | `hit`, or `gated` when the
-/// dive gate switched it off). The path tag is mirrored into a
+/// dive gate switched it off) and where the root LP started (`guide` when
+/// it restored the guide LP's basis, `cold` otherwise, including slots
+/// that ran no root LP). The path tag is mirrored into a
 /// `reuse.<path>` counter so aggregate reports cross-check against the
 /// per-slot records.
 fn emit_provenance(
@@ -198,6 +200,15 @@ fn emit_provenance(
             ("masked_edges", telemetry::Value::UInt(masked)),
             ("incumbents", incumbents),
             ("root_dive", root_dive.into()),
+            (
+                "root_basis",
+                if stats.is_some_and(|s| s.root_restored) {
+                    "guide"
+                } else {
+                    "cold"
+                }
+                .into(),
+            ),
         ],
     );
 }
@@ -516,7 +527,8 @@ impl Birp {
         // count under the scheduling node budget) — trust the incumbent and
         // spend the whole budget on the tree. A warm start already within
         // `rel_gap` of the root bound is accepted on the tree's first gap
-        // check, so such a slot costs one root LP and no search.
+        // check, so such a slot costs one root LP and no search; that root
+        // LP restores the guide's basis wherever presolve keeps its rows.
         let mut solver_cfg = self.solver_cfg.clone();
         if matches!(problem.reuse_outcome(), Some(ReuseOutcome::Installed)) {
             solver_cfg.trust_warm = true;
@@ -860,6 +872,7 @@ mod tests {
             degraded,
             incumbents: Vec::new(),
             root_dive,
+            root_restored: false,
         }
     }
 

@@ -565,3 +565,56 @@ fn kill_resume_with_the_dive_gate_closed_is_bitwise_equivalent() {
     let state = |s: &dyn Scheduler| serde_json::to_string(&s.export_state()).unwrap();
     assert_eq!(state(whole.as_ref()), state(fresh.as_ref()));
 }
+
+/// Kill–resume at Fig. 7 scale, where each full solve's root LP restores
+/// the guide LP's basis (DESIGN.md §3). The basis is derived state and is
+/// never checkpointed: the resumed scheduler re-lowers the slot model from
+/// its inputs and the next refresh solves the guide again, so every kill
+/// point must resume bitwise, with temporal reuse on (skip-path slots
+/// between full solves) and off (a full solve every slot).
+#[test]
+fn kill_resume_large_scale_guide_basis_is_bitwise_equivalent() {
+    let catalog = Catalog::large_scale(42);
+    let trace = TraceConfig {
+        num_slots: SLOTS,
+        ..TraceConfig::large_scale(42)
+    }
+    .generate();
+    // `birp run --scale large`: the scheduling preset, 16 nodes, dive on.
+    let solver = SolverConfig {
+        node_limit: 16,
+        ..SolverConfig::scheduling()
+    };
+    let cfg = RunConfig::default();
+    for reuse in [TemporalReuse::default(), TemporalReuse::disabled()] {
+        let mk = |c: &Catalog| -> Box<dyn Scheduler> {
+            Box::new(
+                Birp::new(c.clone(), MabConfig::paper_preset())
+                    .with_solver(solver.clone())
+                    .with_reuse(reuse.clone()),
+            )
+        };
+        let expected = result_json(&run_scheduler(
+            &catalog,
+            &trace,
+            mk(&catalog).as_mut(),
+            &cfg,
+        ));
+        for kill_at in 0..SLOTS - 1 {
+            let resumed = killed_and_resumed(
+                &catalog,
+                &trace,
+                &cfg,
+                &mk,
+                kill_at,
+                &format!("large-{}-{kill_at}", reuse.enabled),
+            );
+            assert_eq!(
+                expected,
+                result_json(&resumed),
+                "reuse {}, kill_at={kill_at}",
+                reuse.enabled
+            );
+        }
+    }
+}

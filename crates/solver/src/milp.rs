@@ -78,7 +78,8 @@ pub struct SolverConfig {
     /// large constant-factor speedup. Ignored when the warm start is
     /// rejected or absent: the dives then run as usual.
     pub trust_warm: bool,
-    /// Warm-start child node LPs from their parent's engine snapshot
+    /// Warm-start node LPs from an engine snapshot — each child from its
+    /// parent's, the root from the [`WarmStart::basis`] it was handed
     /// (dual-simplex bound-shift re-optimisation instead of a full
     /// two-phase solve). Off is only useful for A/B validation.
     pub warm_nodes: bool,
@@ -179,6 +180,39 @@ pub struct MilpResult {
     pub incumbents: Vec<(u64, f64, f64)>,
     /// Outcome of the root dive.
     pub root_dive: RootDive,
+    /// The root LP was restored from [`WarmStart::basis`] instead of
+    /// solved cold.
+    pub root_restored: bool,
+}
+
+/// What the caller already knows when branch and bound starts. Both parts
+/// are optional and neither is trusted: a point that fails the bounds, the
+/// rows or integrality is rejected, and a basis that does not fit the
+/// presolved LP is ignored.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WarmStart<'a> {
+    /// A known-feasible point, installed as the initial incumbent when it
+    /// validates. It guarantees the search returns *something* under tight
+    /// node budgets.
+    pub point: Option<&'a [f64]>,
+    /// The engine snapshot of an optimal solve of this problem's LP
+    /// relaxation ([`Model::solve_relaxation`](crate::Model::solve_relaxation)).
+    /// Presolve keeps every column and only tightens bounds and drops rows,
+    /// so while it drops no row the root LP is that relaxation with shifted
+    /// bounds: the root restores the basis and re-optimises with the dual
+    /// simplex, as a child node does from its parent. When presolve drops
+    /// rows the row count no longer matches and the root solves cold.
+    pub basis: Option<&'a EngineSnapshot>,
+}
+
+impl<'a> WarmStart<'a> {
+    /// A warm start holding only a known-feasible point.
+    pub fn point(point: &'a [f64]) -> Self {
+        WarmStart {
+            point: Some(point),
+            basis: None,
+        }
+    }
 }
 
 /// Frontier node: a box (bound vectors) plus an optimistic objective bound
@@ -308,14 +342,12 @@ fn note_incumbent(
     }
 }
 
-/// Solve the MILP by branch and bound. `warm_start` is a known-feasible
-/// point: validated (bounds, rows, integrality) and installed as the
-/// initial incumbent if it passes, which guarantees the search returns
-/// *something* under tight node budgets.
+/// Solve the MILP by branch and bound, starting from what `warm` knows
+/// (see [`WarmStart`]).
 pub fn branch_and_bound(
     original: &MilpProblem,
     cfg: &SolverConfig,
-    warm_start: Option<&[f64]>,
+    warm: WarmStart<'_>,
 ) -> MilpResult {
     let _solve_span = telemetry::span("solver.solve");
     telemetry::counter("solver.solves", 1);
@@ -355,6 +387,7 @@ pub fn branch_and_bound(
                 degraded: false,
                 incumbents: Vec::new(),
                 root_dive: RootDive::NotRun,
+                root_restored: false,
             };
         }
     }
@@ -364,9 +397,10 @@ pub fn branch_and_bound(
         bound: f64::NEG_INFINITY,
         snap: None,
     };
-    let (root_sol, root_snap) = {
+    let root_basis = warm.basis.filter(|_| cfg.warm_nodes);
+    let (root_sol, root_snap, root_restored) = {
         let _root_span = telemetry::span("solver.root_lp");
-        solve_node_lp(&reduced.lp, &root, &cfg.simplex, cfg.warm_nodes)
+        solve_node_lp(&reduced.lp, &root, root_basis, &cfg.simplex, cfg.warm_nodes)
     };
     let problem = &reduced;
     let n = problem.lp.num_cols();
@@ -381,7 +415,7 @@ pub fn branch_and_bound(
     let mut warm_installed = false;
 
     // Install a validated warm start as the initial incumbent.
-    if let Some(ws) = warm_start {
+    if let Some(ws) = warm.point {
         let mut installed = false;
         if ws.len() == n {
             let integral = problem
@@ -443,6 +477,7 @@ pub fn branch_and_bound(
                 degraded: false,
                 incumbents: traj,
                 root_dive,
+                root_restored,
             };
         }
         LpStatus::Unbounded => {
@@ -456,6 +491,7 @@ pub fn branch_and_bound(
                 degraded: false,
                 incumbents: traj,
                 root_dive,
+                root_restored,
             };
         }
         LpStatus::Optimal => {}
@@ -508,6 +544,7 @@ pub fn branch_and_bound(
             degraded: false,
             incumbents: traj,
             root_dive,
+            root_restored,
         };
     }
 
@@ -573,7 +610,13 @@ pub fn branch_and_bound(
         let indexed: Vec<(usize, &Node)> = wave.iter().enumerate().collect();
         let solve_indexed = |&(i, node): &(usize, &Node)| {
             let _node_span = wave_ctx.map(|c| c.span_at("solver.node_lp", i as u32));
-            solve_node_lp(&problem.lp, node, &cfg.simplex, want_snaps)
+            solve_node_lp(
+                &problem.lp,
+                node,
+                node.snap.as_deref(),
+                &cfg.simplex,
+                want_snaps,
+            )
         };
         let solved: Vec<_> = if cfg.parallel && wave.len() > 1 {
             indexed.par_iter().map(solve_indexed).collect()
@@ -582,16 +625,19 @@ pub fn branch_and_bound(
         };
         drop(indexed);
         nodes_solved += wave.len();
-        pivots_total += solved.iter().map(|(s, _)| s.iterations as u64).sum::<u64>();
+        pivots_total += solved
+            .iter()
+            .map(|(s, ..)| s.iterations as u64)
+            .sum::<u64>();
         if telemetry::enabled() {
             telemetry::observe("solver.wave_size", wave.len() as f64);
             telemetry::counter(
                 "solver.pivots",
-                solved.iter().map(|(s, _)| s.iterations as u64).sum(),
+                solved.iter().map(|(s, ..)| s.iterations as u64).sum(),
             );
         }
 
-        for (node, (sol, node_snap)) in wave.into_iter().zip(solved) {
+        for (node, (sol, node_snap, _)) in wave.into_iter().zip(solved) {
             match sol.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::Unbounded => {
@@ -607,6 +653,7 @@ pub fn branch_and_bound(
                         degraded: false,
                         incumbents: traj,
                         root_dive,
+                        root_restored,
                     };
                 }
                 LpStatus::Optimal => {}
@@ -691,6 +738,7 @@ pub fn branch_and_bound(
                 degraded: budget_hit && status != MilpStatus::Optimal,
                 incumbents: traj,
                 root_dive,
+                root_restored,
             }
         }
         None => {
@@ -705,6 +753,7 @@ pub fn branch_and_bound(
                     degraded: false,
                     incumbents: Vec::new(),
                     root_dive,
+                    root_restored,
                 }
             } else {
                 // Budget ran out with open nodes and no incumbent.
@@ -718,6 +767,7 @@ pub fn branch_and_bound(
                     degraded: true,
                     incumbents: Vec::new(),
                     root_dive,
+                    root_restored,
                 }
             }
         }
@@ -760,19 +810,22 @@ pub fn branch_and_bound(
 ///
 /// The `LpProblem` rows are shared by reference — nodes only differ in
 /// their bound vectors, so nothing is cloned per node. Warm path: restore
-/// the parent's snapshot and dual-simplex the branched bound back to
-/// feasibility; cold path: full two-phase solve. When `want_snapshot` is
-/// set and the node solved to optimality, the solved engine state is
-/// captured for this node's children.
+/// `basis` (the parent's snapshot, or the caller's relaxation basis at the
+/// root) and dual-simplex the shifted bounds back to feasibility; cold
+/// path, also taken when the basis does not fit `lp`: full two-phase
+/// solve. When `want_snapshot` is set and the node solved to optimality,
+/// the solved engine state is captured for this node's children. The
+/// flag says whether the warm path ran.
 fn solve_node_lp(
     lp: &LpProblem,
     node: &Node,
+    basis: Option<&EngineSnapshot>,
     opts: &SimplexOptions,
     want_snapshot: bool,
-) -> (crate::lp::LpSolution, Option<Arc<EngineSnapshot>>) {
+) -> (crate::lp::LpSolution, Option<Arc<EngineSnapshot>>, bool) {
     with_engine(|eng| {
         let mut warm = false;
-        let sol = match node.snap.as_deref() {
+        let sol = match basis {
             Some(snap) => match eng.solve_warm(lp, snap, &node.lower, &node.upper, opts) {
                 Some(sol) => {
                     warm = true;
@@ -796,7 +849,7 @@ fn solve_node_lp(
         } else {
             None
         };
-        (sol, snap)
+        (sol, snap, warm)
     })
 }
 
@@ -859,7 +912,7 @@ mod tests {
     fn knapsack_small() {
         // values 10, 13, 7; weights 3, 4, 2; cap 5 -> best = {10, 7} = 17
         let p = knapsack(&[10.0, 13.0, 7.0], &[3.0, 4.0, 2.0], 5.0);
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         assert_eq!(r.status, MilpStatus::Optimal);
         assert!(!r.degraded);
         assert!((r.objective + 17.0).abs() < 1e-6, "obj={}", r.objective);
@@ -876,7 +929,7 @@ mod tests {
                 parallel: false,
                 ..Default::default()
             },
-            None,
+            WarmStart::default(),
         );
         let par = branch_and_bound(
             &p,
@@ -884,7 +937,7 @@ mod tests {
                 parallel: true,
                 ..Default::default()
             },
-            None,
+            WarmStart::default(),
         );
         assert_eq!(serial.status, MilpStatus::Optimal);
         assert_eq!(par.status, MilpStatus::Optimal);
@@ -902,7 +955,7 @@ mod tests {
             lp,
             integers: vec![0, 1],
         };
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         assert_eq!(r.status, MilpStatus::Infeasible);
     }
 
@@ -918,7 +971,7 @@ mod tests {
             lp,
             integers: vec![1],
         };
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         assert_eq!(r.status, MilpStatus::Optimal);
         assert!((r.x[1] - 2.0).abs() < 1e-9);
         assert!((r.x[0] - 0.5).abs() < 1e-6);
@@ -937,7 +990,7 @@ mod tests {
                 node_limit: 3,
                 ..Default::default()
             },
-            None,
+            WarmStart::default(),
         );
         assert!(r.nodes <= 3, "nodes={}", r.nodes);
         assert!(matches!(
@@ -961,7 +1014,7 @@ mod tests {
             lp,
             integers: vec![0, 1],
         };
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         assert_eq!(r.status, MilpStatus::Optimal);
         assert_eq!(r.nodes, 1);
         assert!((r.objective - 4.0).abs() < 1e-6);
@@ -978,7 +1031,7 @@ mod tests {
                 max_pivots: Some(1),
                 ..Default::default()
             },
-            None,
+            WarmStart::default(),
         );
         // Never a panic: either a (degraded) incumbent from the root dive or
         // an explicitly exhausted Feasible with infinite objective.

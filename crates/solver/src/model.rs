@@ -12,9 +12,11 @@ use std::collections::HashMap;
 
 use crate::error::SolverError;
 use crate::expr::{LinExpr, VarId, VarKind};
-use crate::lp::{LpProblem, LpSolution, RowCmp};
-use crate::milp::{branch_and_bound, MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig};
-use crate::simplex::solve_bounded;
+use crate::lp::{LpProblem, LpSolution, LpStatus, RowCmp};
+use crate::milp::{
+    branch_and_bound, MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig, WarmStart,
+};
+use crate::simplex::{with_engine, EngineSnapshot, SimplexOptions};
 
 /// Terminal status of a model solve that produced a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +47,9 @@ pub struct Solution {
     pub incumbents: Vec<(u64, f64, f64)>,
     /// Outcome of the root dive.
     pub root_dive: RootDive,
+    /// The root LP was restored from the warm start's basis instead of
+    /// solved cold.
+    pub root_restored: bool,
 }
 
 impl Solution {
@@ -374,18 +379,20 @@ impl Model {
 
     /// Solve the model to (near-)optimality.
     pub fn solve(&self, cfg: &SolverConfig) -> Result<Solution, SolverError> {
-        self.solve_warm(cfg, None)
+        self.solve_warm(cfg, WarmStart::default())
     }
 
-    /// Solve with an optional known-feasible warm-start point (dense, one
-    /// value per variable). An invalid warm start is silently ignored.
+    /// Solve from a warm start: a known-feasible point (dense, one value
+    /// per variable) and/or the basis of this model's solved relaxation
+    /// (see [`WarmStart`]). An invalid point or a basis that does not fit
+    /// is silently ignored.
     pub fn solve_warm(
         &self,
         cfg: &SolverConfig,
-        warm_start: Option<&[f64]>,
+        warm: WarmStart<'_>,
     ) -> Result<Solution, SolverError> {
         let milp = self.to_milp()?;
-        Self::solution(branch_and_bound(&milp, cfg, warm_start))
+        Self::solution(branch_and_bound(&milp, cfg, warm))
     }
 
     fn solution(res: MilpResult) -> Result<Solution, SolverError> {
@@ -409,15 +416,25 @@ impl Model {
                 degraded: res.degraded,
                 incumbents: res.incumbents,
                 root_dive: res.root_dive,
+                root_restored: res.root_restored,
             }),
         }
     }
 
-    /// Solve the continuous relaxation only (integrality dropped).
-    /// Used by the OAEI baseline's randomised rounding.
-    pub fn solve_relaxation(&self) -> Result<LpSolution, SolverError> {
+    /// Solve the continuous relaxation only (integrality dropped), cold.
+    /// Next to the solution comes the engine snapshot of its optimal basis
+    /// (`None` unless optimal), which [`WarmStart::basis`] hands to branch
+    /// and bound so its root LP starts there instead of from scratch.
+    pub fn solve_relaxation(&self) -> Result<(LpSolution, Option<EngineSnapshot>), SolverError> {
         let milp = self.to_milp()?;
-        Ok(solve_bounded(&milp.lp))
+        let lp = &milp.lp;
+        Ok(with_engine(|eng| {
+            let sol = eng.solve_cold(lp, &lp.lower, &lp.upper, &SimplexOptions::default());
+            let basis = (sol.status == LpStatus::Optimal)
+                .then(|| eng.snapshot())
+                .flatten();
+            (sol, basis)
+        }))
     }
 
     /// Objective value `c · x` at a point (no feasibility check).
@@ -628,8 +645,9 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, -1.0);
         m.add_le("half", 2.0 * x, 7.0);
-        let rel = m.solve_relaxation().unwrap();
+        let (rel, basis) = m.solve_relaxation().unwrap();
         assert!((rel.x[0] - 3.5).abs() < 1e-6);
+        assert!(basis.is_some(), "an optimal relaxation leaves its basis");
         let int = m.solve(&SolverConfig::default()).unwrap();
         assert_eq!(int.int_value(x), 3);
     }

@@ -2,7 +2,7 @@
 //! enumeration on small pure-integer programs.
 
 use birp_conformance::strategies::{arb_ip, brute_force_milp};
-use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus};
+use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus, WarmStart};
 use birp_solver::SolverConfig;
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ proptest! {
 
     #[test]
     fn bnb_matches_brute_force(p in arb_ip()) {
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         match brute_force(&p) {
             None => prop_assert_eq!(r.status, MilpStatus::Infeasible),
             Some(best) => {
@@ -37,8 +37,8 @@ proptest! {
 
     #[test]
     fn parallel_bnb_matches_serial(p in arb_ip()) {
-        let serial = branch_and_bound(&p, &SolverConfig { parallel: false, ..Default::default() }, None);
-        let par = branch_and_bound(&p, &SolverConfig { parallel: true, ..Default::default() }, None);
+        let serial = branch_and_bound(&p, &SolverConfig { parallel: false, ..Default::default() }, WarmStart::default());
+        let par = branch_and_bound(&p, &SolverConfig { parallel: true, ..Default::default() }, WarmStart::default());
         prop_assert_eq!(serial.status, par.status);
         if serial.status == MilpStatus::Optimal {
             prop_assert!((serial.objective - par.objective).abs() < 1e-6);
@@ -48,7 +48,7 @@ proptest! {
     /// The reported bound is always a valid lower bound on the incumbent.
     #[test]
     fn bound_below_objective(p in arb_ip()) {
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         if (r.status == MilpStatus::Optimal || r.status == MilpStatus::Feasible)
             && r.objective.is_finite()
         {

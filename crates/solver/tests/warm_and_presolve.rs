@@ -1,15 +1,38 @@
 //! Property tests for the newer solver layers: presolve soundness and
-//! warm-start handling, cross-validated against brute force.
+//! warm-start handling (incumbent points and the root basis),
+//! cross-validated against brute force and the cold root.
 //!
 //! The IP generator and lattice brute force live in
 //! `birp_conformance::strategies`, shared with the other solver proptests.
 
 use birp_conformance::strategies::{arb_ip, brute_force_milp as brute_force};
-use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus};
+use birp_solver::lp::{LpProblem, RowCmp};
+use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus, WarmStart};
 use birp_solver::presolve::{presolve, PresolveStatus};
 use birp_solver::simplex::{solve_bounded, solve_reference};
-use birp_solver::{LpStatus, SolverConfig};
+use birp_solver::{EngineSnapshot, LpStatus, SimplexEngine, SimplexOptions, SolverConfig};
 use proptest::prelude::*;
+
+/// The basis of an optimal cold solve of `lp`, captured as
+/// `Model::solve_relaxation` captures it. `None` unless optimal.
+fn relaxation_basis(lp: &LpProblem) -> Option<EngineSnapshot> {
+    let mut eng = SimplexEngine::new();
+    let sol = eng.solve_cold(lp, &lp.lower, &lp.upper, &SimplexOptions::default());
+    (sol.status == LpStatus::Optimal)
+        .then(|| eng.snapshot())
+        .flatten()
+}
+
+/// Large node budget, tiny gap: every solve ends proven optimal, so two
+/// roots that start from different vertices must agree on the optimum.
+fn certifying(presolve: bool) -> SolverConfig {
+    SolverConfig {
+        node_limit: 50_000,
+        rel_gap: 1e-9,
+        presolve,
+        ..Default::default()
+    }
+}
 
 /// Promoted from `warm_and_presolve.proptest-regressions`: a single binary
 /// variable with zero objective constrained by the equality row
@@ -34,7 +57,7 @@ fn regression_fractional_equality_is_integer_infeasible() {
         brute_force(&p).is_none(),
         "no lattice point satisfies the row"
     );
-    let r = branch_and_bound(&p, &SolverConfig::default(), None);
+    let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
     assert_eq!(r.status, MilpStatus::Infeasible);
 }
 
@@ -71,7 +94,7 @@ proptest! {
     /// Branch and bound (with presolve inside) still matches brute force.
     #[test]
     fn bnb_with_presolve_matches_brute_force(p in arb_ip()) {
-        let r = branch_and_bound(&p, &SolverConfig::default(), None);
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::default());
         match brute_force(&p) {
             None => prop_assert_eq!(r.status, MilpStatus::Infeasible),
             Some((best, _)) => {
@@ -94,12 +117,51 @@ proptest! {
                 root_dive: false,
                 ..Default::default()
             };
-            let r = branch_and_bound(&p, &cfg, Some(point.as_slice()));
+            let r = branch_and_bound(&p, &cfg, WarmStart::point(point.as_slice()));
             prop_assert!(matches!(r.status, MilpStatus::Optimal | MilpStatus::Feasible));
             prop_assert!(r.objective <= best + 1e-6,
                 "warm start lost: got {} expected <= {}", r.objective, best);
             prop_assert!(p.lp.max_violation(&r.x) < 1e-6);
         }
+    }
+
+    /// A root restored from the relaxation's optimal basis reaches the
+    /// cold root's verdict: same status, same optimum. With presolve off
+    /// the rows always match, so the restore must actually happen.
+    #[test]
+    fn root_basis_reaches_the_cold_optimum(p in arb_ip(), presolve_bit in 0usize..2) {
+        let presolve_on = presolve_bit == 1;
+        let cfg = certifying(presolve_on);
+        let basis = relaxation_basis(&p.lp);
+        let cold = branch_and_bound(&p, &cfg, WarmStart::default());
+        let warm = branch_and_bound(&p, &cfg, WarmStart { point: None, basis: basis.as_ref() });
+        prop_assert!(!cold.root_restored);
+        prop_assert_eq!(warm.status, cold.status);
+        if matches!(cold.status, MilpStatus::Optimal | MilpStatus::Feasible) {
+            prop_assert!((warm.objective - cold.objective).abs() < 1e-6,
+                "restored root {} vs cold root {}", warm.objective, cold.objective);
+        }
+        if !presolve_on && basis.is_some() {
+            prop_assert!(warm.root_restored, "rows match but the root solved cold");
+        }
+    }
+
+    /// A basis with more rows than the presolved LP (here: the relaxation
+    /// of the problem plus one redundant row) is ignored, and the search
+    /// is bitwise the one that got no basis at all.
+    #[test]
+    fn root_basis_that_does_not_fit_is_ignored(p in arb_ip(), presolve_bit in 0usize..2) {
+        let presolve_on = presolve_bit == 1;
+        let cfg = certifying(presolve_on);
+        let mut wider = p.lp.clone();
+        let n = wider.num_cols();
+        wider.push_row((0..n).map(|j| (j, 1.0)).collect(), RowCmp::Le, 1e3);
+        let basis = relaxation_basis(&wider);
+        let none = branch_and_bound(&p, &cfg, WarmStart::default());
+        let misfit = branch_and_bound(&p, &cfg, WarmStart { point: None, basis: basis.as_ref() });
+        // Debug prints every float in its round-trip form: bitwise.
+        prop_assert_eq!(format!("{:?}", none), format!("{:?}", misfit));
+        prop_assert!(!misfit.root_restored);
     }
 
     /// Garbage warm starts are ignored, not trusted.
@@ -108,7 +170,7 @@ proptest! {
         let n = p.lp.num_cols();
         // A point far outside every bound.
         let bad = vec![1e9; n];
-        let r = branch_and_bound(&p, &SolverConfig::default(), Some(bad.as_slice()));
+        let r = branch_and_bound(&p, &SolverConfig::default(), WarmStart::point(bad.as_slice()));
         match brute_force(&p) {
             None => prop_assert_eq!(r.status, MilpStatus::Infeasible),
             Some((best, _)) => {

@@ -13,7 +13,7 @@
 
 use birp_conformance::strategies::arb_ip;
 use birp_solver::lp::{LpProblem, RowCmp};
-use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus};
+use birp_solver::milp::{branch_and_bound, MilpProblem, MilpStatus, WarmStart};
 use birp_solver::simplex::solve_bounded;
 use birp_solver::{LpStatus, SimplexEngine, SimplexOptions, SolverConfig};
 use proptest::prelude::*;
@@ -148,8 +148,8 @@ fn check_bnb_warm_vs_cold(p: MilpProblem) -> Result<(), String> {
         warm_nodes: false,
         ..Default::default()
     };
-    let warm = branch_and_bound(&p, &warm_cfg, None);
-    let cold = branch_and_bound(&p, &cold_cfg, None);
+    let warm = branch_and_bound(&p, &warm_cfg, WarmStart::default());
+    let cold = branch_and_bound(&p, &cold_cfg, WarmStart::default());
     prop_assert_eq!(warm.status, cold.status, "status disagree");
     if warm.status == MilpStatus::Optimal {
         prop_assert!(
@@ -168,8 +168,8 @@ fn check_bnb_determinism(p: MilpProblem) -> Result<(), String> {
             warm_nodes,
             ..Default::default()
         };
-        let a = branch_and_bound(&p, &cfg, None);
-        let b = branch_and_bound(&p, &cfg, None);
+        let a = branch_and_bound(&p, &cfg, WarmStart::default());
+        let b = branch_and_bound(&p, &cfg, WarmStart::default());
         prop_assert_eq!(a.status, b.status, "status differs between identical runs");
         prop_assert_eq!(
             a.nodes,
