@@ -192,19 +192,6 @@ fn bench_bnb(c: &mut Criterion) {
             })
         });
     }
-    let p = knapsack(24);
-    g.bench_function("knapsack_24_parallel", |b| {
-        b.iter(|| {
-            black_box(branch_and_bound(
-                &p,
-                &SolverConfig {
-                    parallel: true,
-                    ..Default::default()
-                },
-                WarmStart::default(),
-            ))
-        })
-    });
     g.finish();
 }
 
@@ -254,7 +241,6 @@ fn bench_node_throughput(c: &mut Criterion) {
         let cfg = SolverConfig {
             node_limit: 256,
             rel_gap: 0.0,
-            parallel: false,
             root_dive: false,
             warm_nodes,
             ..Default::default()

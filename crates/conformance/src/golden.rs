@@ -13,9 +13,9 @@
 //! Bitwise stability holds because the whole stack is deterministic: the
 //! trace generator and simulator draw from counter-derived seeded streams,
 //! the MAB uses deterministic lower-confidence bounds, and the branch and
-//! bound resolves ties identically even in parallel mode. Floats are
-//! printed with a fixed `{:.6}` format (not a shortest-repr algorithm) to
-//! keep the byte encoding platform-independent.
+//! bound resolves ties identically. Floats are printed with a fixed
+//! `{:.6}` format (not a shortest-repr algorithm) to keep the byte encoding
+//! platform-independent.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

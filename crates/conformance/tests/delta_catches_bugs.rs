@@ -30,7 +30,6 @@ fn certifying() -> SolverConfig {
     SolverConfig {
         node_limit: 50_000,
         rel_gap: 1e-9,
-        parallel: false,
         root_dive: true,
         trust_warm: false,
         warm_nodes: true,

@@ -19,7 +19,6 @@ fn exact() -> SolverConfig {
     SolverConfig {
         node_limit: 50_000,
         rel_gap: 1e-9,
-        parallel: false,
         root_dive: true,
         trust_warm: false,
         warm_nodes: true,

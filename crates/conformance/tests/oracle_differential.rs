@@ -18,7 +18,6 @@ fn exact_base() -> SolverConfig {
     SolverConfig {
         node_limit: 50_000,
         rel_gap: 1e-9,
-        parallel: false,
         root_dive: true,
         trust_warm: false,
         warm_nodes: true,
@@ -48,9 +47,8 @@ fn toggle_configs() -> Vec<(&'static str, SolverConfig)> {
             },
         ),
         (
-            "parallel-no-dive",
+            "no-dive",
             SolverConfig {
-                parallel: true,
                 root_dive: false,
                 ..base.clone()
             },

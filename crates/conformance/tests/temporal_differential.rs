@@ -39,7 +39,6 @@ fn certifying() -> SolverConfig {
     SolverConfig {
         node_limit: 50_000,
         rel_gap: 1e-9,
-        parallel: false,
         root_dive: true,
         trust_warm: false,
         warm_nodes: true,
@@ -169,7 +168,7 @@ fn repair_projects_stale_incumbent_onto_current_constraints() {
 /// The five solver toggle configurations (mirrors
 /// `oracle_differential::toggle_configs`): bitwise problem equality makes
 /// solve equality config-independent in principle, but running all five
-/// keeps the claim empirical — warm node starts, presolve, parallel search
+/// keeps the claim empirical — warm node starts, presolve, the root dive
 /// and degenerate pricing all consume the lowering differently.
 fn toggle_configs() -> Vec<(&'static str, SolverConfig)> {
     let base = certifying();
@@ -190,9 +189,8 @@ fn toggle_configs() -> Vec<(&'static str, SolverConfig)> {
             },
         ),
         (
-            "parallel-no-dive",
+            "no-dive",
             SolverConfig {
-                parallel: true,
                 root_dive: false,
                 ..base.clone()
             },

@@ -70,12 +70,7 @@ impl ResilienceConfig {
             faults,
             health: HealthConfig::default(),
             mab: MabConfig::paper_preset(),
-            // Serial node evaluation: the experiment's bitwise-reproducible
-            // guarantee must not ride on wave scheduling order.
-            solver: SolverConfig {
-                parallel: false,
-                ..SolverConfig::scheduling()
-            },
+            solver: SolverConfig::scheduling(),
             seed,
             outage_edge: EdgeId(2),
             outage_from,

@@ -28,9 +28,9 @@ fn field<'a>(fields: &'a [(&'static str, Value)], key: &str) -> &'a Value {
         .unwrap_or_else(|| panic!("span event missing field {key}"))
 }
 
-/// Two full-solve slots of a 12-edge fleet under the parallel scheduling
-/// solver, each inside a root span, traced at the level that adds per-wave
-/// and per-node spans. Returns the sorted span shapes.
+/// Two full-solve slots of a 12-edge fleet under the scheduling solver,
+/// each inside a root span, traced at the level that adds per-wave and
+/// per-node spans. Returns the sorted span shapes.
 fn traced_decides() -> Vec<Shape> {
     let catalog = Catalog::fleet_scale(42, 12);
     let mut birp = Birp::new(catalog.clone(), MabConfig::paper_preset())

@@ -27,13 +27,6 @@ fn setup(slots: usize) -> (Catalog, Trace) {
     (catalog, trace)
 }
 
-fn serial_scheduling() -> SolverConfig {
-    SolverConfig {
-        parallel: false,
-        ..SolverConfig::scheduling()
-    }
-}
-
 fn run_with(catalog: &Catalog, trace: &Trace, faults: FaultPlan, resilient: bool) -> String {
     let cfg = RunConfig {
         sim: SimConfig {
@@ -43,7 +36,7 @@ fn run_with(catalog: &Catalog, trace: &Trace, faults: FaultPlan, resilient: bool
         resilience: resilient.then(HealthConfig::default),
         ..RunConfig::default()
     };
-    let mut s = BirpOff::new(catalog.clone()).with_solver(serial_scheduling());
+    let mut s = BirpOff::new(catalog.clone()).with_solver(SolverConfig::scheduling());
     let r = run_scheduler(catalog, trace, &mut s, &cfg);
     assert_eq!(
         r.metrics.served + r.metrics.dropped,
@@ -111,7 +104,7 @@ fn resilience_budget_exhaustion_degrades_gracefully() {
     let starved = SolverConfig {
         node_limit: 1,
         max_pivots: Some(1),
-        ..serial_scheduling()
+        ..SolverConfig::scheduling()
     };
     let mut s = BirpOff::new(catalog.clone()).with_solver(starved);
     let r = run_scheduler(&catalog, &trace, &mut s, &RunConfig::default());

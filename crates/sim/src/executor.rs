@@ -31,8 +31,6 @@ pub struct SimConfig {
     /// Randomise per-edge batch execution order (seeded); otherwise batches
     /// run in planner order.
     pub shuffle_batches: bool,
-    /// Run the per-slot edge loop with rayon.
-    pub parallel: bool,
     /// Injected outages / degradations (empty by default).
     #[serde(default)]
     pub faults: crate::faults::FaultPlan,
@@ -44,7 +42,6 @@ impl Default for SimConfig {
             seed: 0xB1E9,
             exec_noise_sigma: 0.08,
             shuffle_batches: true,
-            parallel: true,
             faults: crate::faults::FaultPlan::none(),
         }
     }
@@ -119,12 +116,10 @@ impl EdgeSim {
     /// network accounting).
     pub fn execute_slot(&self, schedule: &Schedule, prev: Option<&Schedule>) -> SlotOutcome {
         let ne = self.catalog.num_edges();
-        let run_edge = |e: usize| self.execute_edge(EdgeId(e), schedule);
-        let per_edge: Vec<EdgeOutcome> = if self.cfg.parallel {
-            (0..ne).into_par_iter().map(run_edge).collect()
-        } else {
-            (0..ne).map(run_edge).collect()
-        };
+        let per_edge: Vec<EdgeOutcome> = (0..ne)
+            .into_par_iter()
+            .map(|e| self.execute_edge(EdgeId(e), schedule))
+            .collect();
 
         let mut batches = Vec::new();
         let mut compute_used_ms = Vec::with_capacity(ne);
@@ -370,20 +365,14 @@ mod tests {
                 batch: 4,
             });
         }
-        let mk = |parallel| {
-            EdgeSim::new(
-                catalog.clone(),
-                SimConfig {
-                    parallel,
-                    ..Default::default()
-                },
-            )
-            .execute_slot(&s, None)
-        };
-        let a = mk(true);
-        let b = mk(false);
-        assert_eq!(a.batches.len(), b.batches.len());
-        for (x, y) in a.batches.iter().zip(&b.batches) {
+        let sim = EdgeSim::new(catalog.clone(), SimConfig::default());
+        let a = sim.execute_slot(&s, None);
+        // The same edges run one by one on this thread.
+        let b: Vec<BatchOutcome> = (0..catalog.num_edges())
+            .flat_map(|e| sim.execute_edge(EdgeId(e), &s).batches)
+            .collect();
+        assert_eq!(a.batches.len(), b.len());
+        for (x, y) in a.batches.iter().zip(&b) {
             assert_eq!(x.edge, y.edge);
             assert_eq!(x.exec_ms, y.exec_ms);
         }

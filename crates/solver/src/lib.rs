@@ -16,8 +16,8 @@
 //!   slow, obviously correct *reference* solver (bounds as rows, Bland's
 //!   rule) that cross-validates the other two and is the last fallback,
 //! * [`milp`] — branch-and-bound over the LP relaxation with best-first
-//!   search, an LP-guided diving heuristic, and optional rayon-parallel node
-//!   evaluation with a shared incumbent,
+//!   search, an LP-guided diving heuristic, and rayon-parallel node
+//!   evaluation in fixed-width waves with a shared incumbent,
 //! * [`model`] — the user-facing [`Model`] builder, including
 //!   [`Model::linearized_product`], the exact McCormick linearisation of
 //!   binary × bounded-variable products that turns BIRP's per-slot

@@ -5,10 +5,11 @@
 //! sources: integral LP relaxations, the LP-guided diving heuristic
 //! ([`crate::heuristic::dive`]) run at the root, and leaves of the search.
 //!
-//! With `parallel = true` the search proceeds in *waves*: up to one node per
-//! worker is popped from the frontier, their LPs are solved with rayon, and
-//! the results are folded back in deterministically (the fold order is the
-//! pop order, not the completion order, so runs are reproducible).
+//! The search proceeds in *waves* of `WAVE_WIDTH` nodes: they are popped
+//! from the frontier, their LPs are solved with rayon, and the results are
+//! folded back in pop order, not completion order. The width is a constant
+//! and the fold order is fixed, so a seeded solve gives the same result on
+//! any host, whatever its core count.
 //!
 //! Node LPs are solved on per-thread persistent [`SimplexEngine`]s
 //! ([`with_engine`]): the shared `LpProblem` rows are never cloned per
@@ -51,6 +52,10 @@ pub struct MilpProblem {
 /// degradation, never an OOM.
 const WARM_MEMORY_BUDGET: usize = 256 << 20;
 
+/// Frontier nodes popped per wave. Fixed, so threads execute a wave but
+/// never decide what is in it.
+const WAVE_WIDTH: usize = 2;
+
 /// The one options struct of the solver: branch-and-bound search
 /// parameters, its deterministic work budget and the simplex tunables.
 ///
@@ -66,8 +71,6 @@ pub struct SolverConfig {
     /// Terminate when `(incumbent - bound) / max(1, |incumbent|)` drops
     /// below this.
     pub rel_gap: f64,
-    /// Solve frontier nodes in rayon-parallel waves.
-    pub parallel: bool,
     /// Run the diving heuristic at the root for a fast first incumbent.
     pub root_dive: bool,
     /// Treat an *accepted* warm start as a strong incumbent: skip the root
@@ -100,7 +103,6 @@ impl Default for SolverConfig {
         SolverConfig {
             node_limit: 20_000,
             rel_gap: 1e-6,
-            parallel: false,
             root_dive: true,
             trust_warm: false,
             warm_nodes: true,
@@ -112,14 +114,12 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Preset used by the BIRP experiment runner: bounded node budget,
-    /// modest gap, parallel node evaluation. Gurobi-with-a-time-limit moral
-    /// equivalent.
+    /// Preset used by the BIRP experiment runner: bounded node budget and
+    /// modest gap. Gurobi-with-a-time-limit moral equivalent.
     pub fn scheduling() -> Self {
         SolverConfig {
             node_limit: 96,
             rel_gap: 5e-3,
-            parallel: true,
             ..Self::default()
         }
     }
@@ -549,11 +549,6 @@ pub fn branch_and_bound(
     }
 
     // --- search -----------------------------------------------------------
-    let workers = if cfg.parallel {
-        rayon::current_num_threads().max(1)
-    } else {
-        1
-    };
     // In-tree dives are expensive (a dive is dozens of LP solves); a few
     // well-placed ones capture nearly all their value.
     let mut tree_dives_left = if trust_dives_off { 0 } else { 3 };
@@ -564,8 +559,8 @@ pub fn branch_and_bound(
         }
         // Prune against the incumbent, then pop a wave.
         let cutoff = incumbent.as_ref().map_or(f64::INFINITY, |(o, _)| *o);
-        let mut wave: Vec<Node> = Vec::with_capacity(workers);
-        while wave.len() < workers {
+        let mut wave: Vec<Node> = Vec::with_capacity(WAVE_WIDTH);
+        while wave.len() < WAVE_WIDTH {
             match heap.pop() {
                 Some(node) => {
                     if node.bound < cutoff - 1e-12 {
@@ -608,21 +603,19 @@ pub fn branch_and_bound(
         let wave_span = telemetry::trace_spans().then(|| telemetry::span("solver.wave"));
         let wave_ctx = wave_span.as_ref().map(|s| s.context());
         let indexed: Vec<(usize, &Node)> = wave.iter().enumerate().collect();
-        let solve_indexed = |&(i, node): &(usize, &Node)| {
-            let _node_span = wave_ctx.map(|c| c.span_at("solver.node_lp", i as u32));
-            solve_node_lp(
-                &problem.lp,
-                node,
-                node.snap.as_deref(),
-                &cfg.simplex,
-                want_snaps,
-            )
-        };
-        let solved: Vec<_> = if cfg.parallel && wave.len() > 1 {
-            indexed.par_iter().map(solve_indexed).collect()
-        } else {
-            indexed.iter().map(solve_indexed).collect()
-        };
+        let solved: Vec<_> = indexed
+            .par_iter()
+            .map(|&(i, node): &(usize, &Node)| {
+                let _node_span = wave_ctx.map(|c| c.span_at("solver.node_lp", i as u32));
+                solve_node_lp(
+                    &problem.lp,
+                    node,
+                    node.snap.as_deref(),
+                    &cfg.simplex,
+                    want_snaps,
+                )
+            })
+            .collect();
         drop(indexed);
         nodes_solved += wave.len();
         pivots_total += solved
@@ -916,32 +909,6 @@ mod tests {
         assert_eq!(r.status, MilpStatus::Optimal);
         assert!(!r.degraded);
         assert!((r.objective + 17.0).abs() < 1e-6, "obj={}", r.objective);
-    }
-
-    #[test]
-    fn knapsack_parallel_matches_serial() {
-        let values = [8.0, 11.0, 6.0, 4.0, 9.0, 7.5, 3.0];
-        let weights = [5.0, 7.0, 4.0, 3.0, 6.0, 5.5, 2.0];
-        let p = knapsack(&values, &weights, 15.0);
-        let serial = branch_and_bound(
-            &p,
-            &SolverConfig {
-                parallel: false,
-                ..Default::default()
-            },
-            WarmStart::default(),
-        );
-        let par = branch_and_bound(
-            &p,
-            &SolverConfig {
-                parallel: true,
-                ..Default::default()
-            },
-            WarmStart::default(),
-        );
-        assert_eq!(serial.status, MilpStatus::Optimal);
-        assert_eq!(par.status, MilpStatus::Optimal);
-        assert!((serial.objective - par.objective).abs() < 1e-6);
     }
 
     #[test]

@@ -35,16 +35,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn parallel_bnb_matches_serial(p in arb_ip()) {
-        let serial = branch_and_bound(&p, &SolverConfig { parallel: false, ..Default::default() }, WarmStart::default());
-        let par = branch_and_bound(&p, &SolverConfig { parallel: true, ..Default::default() }, WarmStart::default());
-        prop_assert_eq!(serial.status, par.status);
-        if serial.status == MilpStatus::Optimal {
-            prop_assert!((serial.objective - par.objective).abs() < 1e-6);
-        }
-    }
-
     /// The reported bound is always a valid lower bound on the incumbent.
     #[test]
     fn bound_below_objective(p in arb_ip()) {

@@ -159,7 +159,6 @@ fn toggle_configs(mode: SimplexMode) -> Vec<(&'static str, SolverConfig)> {
     let base = SolverConfig {
         node_limit: 50_000,
         rel_gap: 1e-9,
-        parallel: false,
         root_dive: true,
         trust_warm: false,
         warm_nodes: true,
@@ -184,9 +183,8 @@ fn toggle_configs(mode: SimplexMode) -> Vec<(&'static str, SolverConfig)> {
             },
         ),
         (
-            "parallel-no-dive",
+            "no-dive",
             SolverConfig {
-                parallel: true,
                 root_dive: false,
                 ..base.clone()
             },
