@@ -307,9 +307,10 @@ REPRO (paper figures at paper size, each written to results/<figure>.json):
 ROBUSTNESS (run / repro fig6|fig7):
     --faults <plan.json>       inject a serialized FaultPlan into the executor
     --resilience on|off        failure detector + quarantine-and-reroute (default: off)
-    --no-reuse                 disable cross-slot temporal reuse (warm-start install and
-                               heuristic-regime skip: every slot runs a full solve) in
-                               the MILP schedulers
+    --no-reuse                 disable cross-slot temporal reuse in the MILP schedulers:
+                               no previous-slot warm start is installed, and a
+                               degraded-regime skip slot serves the LP-guided packing
+                               instead of the repaired previous schedule
 
 DURABILITY (run / resume):
     --checkpoint <run.ckpt>    write the full run state atomically every
@@ -788,10 +789,13 @@ fn cmd_report(args: &Args) -> ExitCode {
         }
     };
     let mut counts: std::collections::BTreeMap<String, u64> = Default::default();
-    // Slots per (decide path, root-dive outcome), and full solves per root
-    // basis, from `birp.provenance`.
+    // Slots per (decide path, root-dive outcome), full solves per root
+    // basis and per truncating budget, and skips per served floor, from
+    // `birp.provenance`.
     let mut paths: std::collections::BTreeMap<(String, String), u64> = Default::default();
     let mut root_bases: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut budgets: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut floors: std::collections::BTreeMap<String, u64> = Default::default();
     let mut summary: Option<telemetry::TelemetrySummary> = None;
     let mut meta: Option<serde_json::Value> = None;
     let (mut records, mut unparsable) = (0u64, 0u64);
@@ -824,8 +828,13 @@ fn cmd_report(args: &Args) -> ExitCode {
             *paths
                 .entry((field("path"), field("root_dive")))
                 .or_insert(0) += 1;
-            if field("path") == "full_solve" {
-                *root_bases.entry(field("root_basis")).or_insert(0) += 1;
+            match field("path").as_str() {
+                "full_solve" => {
+                    *root_bases.entry(field("root_basis")).or_insert(0) += 1;
+                    *budgets.entry(field("budget")).or_insert(0) += 1;
+                }
+                "skip" => *floors.entry(field("floor")).or_insert(0) += 1,
+                _ => {}
             }
         }
         *counts.entry(name).or_insert(0) += 1;
@@ -856,10 +865,16 @@ fn cmd_report(args: &Args) -> ExitCode {
             println!("{path:<14}  {dive:<9}  {n:>8}");
         }
     }
-    if !root_bases.is_empty() {
-        println!("\n{:<10}  {:>11}", "root basis", "full solves");
-        for (basis, n) in &root_bases {
-            println!("{basis:<10}  {n:>11}");
+    for (key, unit, tally) in [
+        ("root basis", "full solves", &root_bases),
+        ("budget", "full solves", &budgets),
+        ("skip floor", "skips", &floors),
+    ] {
+        if !tally.is_empty() {
+            println!("\n{key:<10}  {unit:>11}");
+            for (value, n) in tally {
+                println!("{value:<10}  {n:>11}");
+            }
         }
     }
     match &summary {

@@ -5,7 +5,9 @@
 //! `birp report` tallies the outcomes per decide path. The same records
 //! name each root LP's start: at this scale presolve keeps the guide LP's
 //! rows, so full solves restore its basis (DESIGN.md §3), and the report
-//! tallies full solves per root basis.
+//! tallies full solves per root basis. They also name the budget that
+//! truncated each degraded solve and the floor each skip served, and the
+//! report tallies both.
 
 use std::process::{Command, Stdio};
 
@@ -45,9 +47,19 @@ fn large_run_gates_the_dive_and_report_tallies_it() {
         );
         let basis = field(r, "root_basis");
         assert!(["guide", "cold"].contains(&basis.as_str()), "{r:?}");
+        let degraded = r.get("degraded") == Some(&Value::Bool(true));
+        let budget = field(r, "budget");
+        assert!(
+            ["none", "nodes", "pivots"].contains(&budget.as_str()),
+            "{r:?}"
+        );
+        assert_eq!(budget != "none", degraded, "{r:?}");
         if field(r, "path") != "full_solve" {
             assert_eq!(dive, "not_run", "only full solves dive: {r:?}");
             assert_eq!(basis, "cold", "only full solves run a root LP: {r:?}");
+        }
+        if field(r, "path") == "skip" {
+            assert_eq!(field(r, "floor"), "reuse", "{r:?}");
         }
     }
     let restored = provenance
@@ -97,6 +109,30 @@ fn large_run_gates_the_dive_and_report_tallies_it() {
     assert!(
         row.ends_with(&format!(" {gated}")),
         "row {row:?}, {gated} gated"
+    );
+    // The large run has no pivot budget: each degraded solve ran out of
+    // nodes.
+    let truncated = provenance
+        .iter()
+        .filter(|r| field(r, "path") == "full_solve" && field(r, "budget") == "nodes")
+        .count()
+        .to_string();
+    assert!(
+        report
+            .lines()
+            .any(|l| l.split_whitespace().eq(["nodes", truncated.as_str()])),
+        "report has no nodes/{truncated} budget row:\n{report}"
+    );
+    let skips = provenance
+        .iter()
+        .filter(|r| field(r, "path") == "skip")
+        .count()
+        .to_string();
+    assert!(
+        report
+            .lines()
+            .any(|l| l.split_whitespace().eq(["reuse", skips.as_str()])),
+        "report has no reuse/{skips} skip-floor row:\n{report}"
     );
     let restored = restored.to_string();
     assert!(

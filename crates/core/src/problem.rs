@@ -26,8 +26,8 @@ use birp_models::catalog::MAX_BATCH;
 use birp_models::{Catalog, EdgeId, ModelId};
 use birp_sim::{Deployment, Schedule};
 use birp_solver::{
-    EngineSnapshot, LinExpr, LpSolution, LpStatus, Model, ModelStatus, RootDive, RowId, Solution,
-    SolverConfig, SolverError, VarId, VarKind, WarmStart,
+    BudgetHit, EngineSnapshot, LinExpr, LpSolution, LpStatus, Model, ModelStatus, RootDive, RowId,
+    Solution, SolverConfig, SolverError, VarId, VarKind, WarmStart,
 };
 use birp_telemetry as telemetry;
 use birp_tir::{linear_coeffs, TirParams};
@@ -167,6 +167,40 @@ impl RootDiveOutcome {
     }
 }
 
+/// Which budget truncated a solve: the serializable mirror of
+/// [`birp_solver::BudgetHit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum BudgetOutcome {
+    /// Not truncated, or no branch and bound at all.
+    #[default]
+    None,
+    /// The node limit ran out.
+    Nodes,
+    /// The pivot budget ran out.
+    Pivots,
+}
+
+impl From<BudgetHit> for BudgetOutcome {
+    fn from(b: BudgetHit) -> Self {
+        match b {
+            BudgetHit::None => BudgetOutcome::None,
+            BudgetHit::Nodes => BudgetOutcome::Nodes,
+            BudgetHit::Pivots => BudgetOutcome::Pivots,
+        }
+    }
+}
+
+impl BudgetOutcome {
+    /// The label the `birp.provenance` record carries.
+    pub fn label(self) -> &'static str {
+        match self {
+            BudgetOutcome::None => "none",
+            BudgetOutcome::Nodes => "nodes",
+            BudgetOutcome::Pivots => "pivots",
+        }
+    }
+}
+
 /// Solve statistics surfaced to experiment logs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolveStats {
@@ -178,6 +212,10 @@ pub struct SolveStats {
     /// not a proven (near-)optimum.
     #[serde(default)]
     pub degraded: bool,
+    /// The budget that truncated a degraded solve; `None` exactly when
+    /// `degraded` is false.
+    #[serde(default)]
+    pub budget: BudgetOutcome,
     /// Incumbent trajectory `(nodes_solved, objective, gap)` in install
     /// order — the convergence signature surfaced by the per-slot decision
     /// provenance record. A schedule served without branch and bound (the
@@ -1461,6 +1499,7 @@ impl SlotProblem {
             gap,
             nodes: 0,
             degraded: false,
+            budget: BudgetHit::None,
             incumbents: vec![(0, obj, gap)],
             root_dive: RootDive::NotRun,
             root_restored: false,
@@ -1471,6 +1510,7 @@ impl SlotProblem {
             nodes: 0,
             optimal: false,
             degraded: false,
+            budget: BudgetOutcome::None,
             incumbents: vec![(0, obj, gap)],
             root_dive: RootDiveOutcome::NotRun,
             root_restored: false,
@@ -1498,6 +1538,7 @@ impl SlotProblem {
             nodes: sol.nodes,
             optimal: sol.status == ModelStatus::Optimal,
             degraded: sol.degraded,
+            budget: sol.budget.into(),
             incumbents: sol.incumbents.clone(),
             root_dive: sol.root_dive.into(),
             root_restored: sol.root_restored,

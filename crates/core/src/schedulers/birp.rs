@@ -24,8 +24,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::demand::DemandMatrix;
 use crate::problem::{
-    DeltaOutcome, ExecutionMode, ProblemConfig, RebuildReason, ReuseOutcome, RootDiveOutcome,
-    SlotInputs, SlotProblem, SolveStats, TirMatrix,
+    BudgetOutcome, DeltaOutcome, ExecutionMode, ProblemConfig, RebuildReason, ReuseOutcome,
+    RootDiveOutcome, SlotInputs, SlotProblem, SolveStats, TirMatrix,
 };
 use crate::schedulers::local::greedy_local;
 use crate::schedulers::Scheduler;
@@ -37,11 +37,12 @@ const DIVE_MISS_LIMIT: usize = 8;
 /// While the root-dive gate is closed, the full solve this many after the
 /// last root dive runs it again as a probe.
 const DIVE_PROBE_EVERY: usize = 16;
-/// Maximum consecutive slots the heuristic-regime skip may serve from the
-/// repaired previous-slot schedule before a true solve is forced. The skip
-/// only ever activates while the budgeted solver is returning degraded
-/// (budget-truncated) incumbents; where the solver proves optimality it is
-/// structurally inert.
+/// Maximum consecutive slots the heuristic-regime skip may serve without
+/// branch and bound before a true solve is forced. The skip is a policy of
+/// the solver regime, not of temporal reuse: it only ever activates while
+/// the budgeted solver is returning degraded (budget-truncated)
+/// incumbents, and where the solver proves optimality it is structurally
+/// inert.
 const MAX_SKIP_STREAK: usize = 3;
 
 /// Cross-slot temporal reuse (DESIGN.md §11).
@@ -49,16 +50,20 @@ const MAX_SKIP_STREAK: usize = 3;
 /// Consecutive slots differ by smooth demand drift and occasional MAB
 /// updates, so the previous slot's schedule is almost always a strong
 /// starting incumbent. A full solve installs its repaired projection as the
-/// warm start; while the budgeted solver is returning degraded incumbents,
-/// the heuristic-regime skip serves that warm start without a search.
+/// warm start.
 ///
-/// The persistent slot model (DESIGN.md §13) is not part of this switch: it
-/// serves every configuration, because a refresh is bitwise a rebuild.
+/// Two mechanisms are not part of this switch. The heuristic-regime skip
+/// serves degraded-regime slots without a search whether reuse is on or
+/// off; reuse only picks the floor a skip serves. The persistent slot model
+/// (DESIGN.md §13) serves every configuration, because a refresh is
+/// bitwise a rebuild.
 #[derive(Debug, Clone)]
 pub struct TemporalReuse {
-    /// Master switch (`--no-reuse` from the CLI). Off means no warm-start
-    /// install and no skip: every slot runs a full solve from the greedy
-    /// warm start alone.
+    /// Master switch (`--no-reuse` from the CLI). On, a skip slot serves a
+    /// lean refresh's floor: the greedy packing, improved by the repaired
+    /// previous-slot schedule. Off means no warm-start install: full solves
+    /// start from the LP-guided packing alone, and a skip slot runs the
+    /// guide LP and serves that packing.
     pub enabled: bool,
 }
 
@@ -137,9 +142,12 @@ fn lp_counter_snapshot() -> (u64, u64) {
 /// the root dive did (`not_run` | `missed` | `hit`, or `gated` when the
 /// dive gate switched it off) and where the root LP started (`guide` when
 /// it restored the guide LP's basis, `cold` otherwise, including slots
-/// that ran no root LP). The path tag is mirrored into a
-/// `reuse.<path>` counter so aggregate reports cross-check against the
-/// per-slot records.
+/// that ran no root LP). `budget` names the budget that truncated a
+/// degraded solve (`none` | `nodes` | `pivots`), and a `skip` record's
+/// `floor` names what it served: `reuse` for a lean refresh's floor,
+/// `guide` for the guide packing of a reuse-off run (null on other
+/// paths). The path tag is mirrored into a `reuse.<path>` counter so
+/// aggregate reports cross-check against the per-slot records.
 fn emit_provenance(
     t: usize,
     path: &'static str,
@@ -147,6 +155,7 @@ fn emit_provenance(
     mask: Option<&[bool]>,
     lp0: (u64, u64),
     dive_gated: bool,
+    floor: Option<&'static str>,
 ) {
     if !telemetry::enabled() {
         return;
@@ -200,6 +209,14 @@ fn emit_provenance(
             ("masked_edges", telemetry::Value::UInt(masked)),
             ("incumbents", incumbents),
             ("root_dive", root_dive.into()),
+            (
+                "budget",
+                stats
+                    .map_or(BudgetOutcome::None, |s| s.budget)
+                    .label()
+                    .into(),
+            ),
+            ("floor", floor.map_or(telemetry::Value::Null, Into::into)),
             (
                 "root_basis",
                 if stats.is_some_and(|s| s.root_restored) {
@@ -477,23 +494,27 @@ impl Birp {
             masked_edges: self.mask.clone(),
             ..self.problem_cfg.clone()
         };
-        // Heuristic-regime skip: while the budgeted solver is returning
-        // degraded (budget-truncated) incumbents, its output carries no
-        // optimality proof — its guaranteed floor is the warm-start point
-        // it was handed. A lean refresh (no guide-LP solve — the skip path
-        // never certifies and never branches, so the root relaxation is
-        // pure overhead here) produces exactly that floor: the greedy
-        // packing, improved by the repaired previous-slot schedule whenever
-        // that carries a lower objective. Serve it directly and save the
-        // whole branch-and-bound run. The streak bound forces a true
-        // re-solve every few slots so quality re-anchors on fresh search,
-        // and the gate is structurally inert wherever the solver proves
-        // optimality (no degraded solves → no skips), which is what keeps
-        // the certifying-config differential suite exact.
-        let skip =
-            self.reuse.enabled && self.heuristic_regime && self.skip_streak < MAX_SKIP_STREAK;
+        // Heuristic-regime skip, a policy of the solver regime: while the
+        // budgeted solver is returning degraded (budget-truncated)
+        // incumbents, its output carries no optimality proof — its
+        // guaranteed floor is the warm-start point it was handed. Serve
+        // that floor directly and save the whole branch-and-bound run.
+        // Reuse only picks the floor. On, a lean refresh (no guide-LP
+        // solve — the skip never certifies and never branches, so the root
+        // relaxation is pure overhead) gives the greedy packing, improved
+        // by the repaired previous-slot schedule whenever that carries a
+        // lower objective. Off, there is no previous schedule to repair,
+        // so the refresh keeps the guide LP and the floor is the LP-guided
+        // packing. The streak bound forces a true re-solve every few slots
+        // so quality re-anchors on fresh search, and the gate is
+        // structurally inert wherever the solver proves optimality (no
+        // degraded solves → no skips), which is what keeps the
+        // certifying-config differential suite exact.
+        let skip = self.heuristic_regime && self.skip_streak < MAX_SKIP_STREAK;
         let candidate = if self.reuse.enabled { prev } else { None };
-        let (problem, delta) = self.acquire_problem(t, demand, &tir, prev, &cfg, candidate, !skip);
+        let guide_lp = !skip || !self.reuse.enabled;
+        let (problem, delta) =
+            self.acquire_problem(t, demand, &tir, prev, &cfg, candidate, guide_lp);
         emit_delta(t, &delta);
         match problem.reuse_outcome() {
             Some(ReuseOutcome::Installed) => telemetry::counter("scheduler.reuse_install", 1),
@@ -515,7 +536,16 @@ impl Birp {
                     ],
                 );
             }
-            emit_provenance(t, "skip", Some(&stats), self.mask.as_deref(), lp0, false);
+            let floor = if self.reuse.enabled { "reuse" } else { "guide" };
+            emit_provenance(
+                t,
+                "skip",
+                Some(&stats),
+                self.mask.as_deref(),
+                lp0,
+                false,
+                Some(floor),
+            );
             self.last_stats = Some(stats);
             self.slot_model = Some(problem);
             return schedule;
@@ -563,6 +593,7 @@ impl Birp {
                     self.mask.as_deref(),
                     lp0,
                     dive_gated,
+                    None,
                 );
                 self.record_dive(&stats);
                 self.skip_streak = 0;
@@ -589,7 +620,15 @@ impl Birp {
                         ],
                     );
                 }
-                emit_provenance(t, "fallback", None, self.mask.as_deref(), lp0, dive_gated);
+                emit_provenance(
+                    t,
+                    "fallback",
+                    None,
+                    self.mask.as_deref(),
+                    lp0,
+                    dive_gated,
+                    None,
+                );
                 self.last_stats = None;
                 self.slot_model = Some(problem);
                 greedy_local(
@@ -870,6 +909,11 @@ mod tests {
             nodes: 16,
             optimal: !degraded,
             degraded,
+            budget: if degraded {
+                BudgetOutcome::Nodes
+            } else {
+                BudgetOutcome::None
+            },
             incumbents: Vec::new(),
             root_dive,
             root_restored: false,
@@ -1123,6 +1167,60 @@ mod tests {
             let s = shim.decide(t, &d, prev.as_ref());
             assert_eq!(s, off.decide(t, &d, prev.as_ref()), "slot {t}");
             prev = Some(s);
+        }
+    }
+
+    /// The heuristic-regime skip is a policy of the solver regime, not of
+    /// reuse. On the large catalog under the scheduling solver, full solves
+    /// end degraded, so with reuse off the next slots (at most
+    /// `MAX_SKIP_STREAK`) skip without branch and bound, each running the
+    /// guide LP (a finite gap against its root bound), and then a full
+    /// solve comes. With reuse on, the lean skip runs no guide LP and keeps
+    /// its infinite gap.
+    #[test]
+    fn degraded_regime_skips_whether_reuse_is_on_or_off() {
+        const SLOTS: usize = 9;
+        let catalog = Catalog::large_scale(42);
+        let trace = birp_workload::TraceConfig {
+            num_slots: SLOTS,
+            ..birp_workload::TraceConfig::large_scale(42)
+        }
+        .generate();
+        // `birp run --scale large`: the scheduling preset, 16 nodes.
+        let solver = SolverConfig {
+            node_limit: 16,
+            ..SolverConfig::scheduling()
+        };
+        for reuse in [TemporalReuse::disabled(), TemporalReuse::default()] {
+            let on = reuse.enabled;
+            let mut b = Birp::new(catalog.clone(), MabConfig::paper_preset())
+                .with_solver(solver.clone())
+                .with_reuse(reuse);
+            let mut prev = None;
+            let mut skips = 0;
+            for t in 0..SLOTS {
+                let may_skip = b.heuristic_regime && b.skip_streak < MAX_SKIP_STREAK;
+                let streak = b.skip_streak;
+                let s = b.decide(t, &DemandMatrix::from_trace(&trace, t), prev.as_ref());
+                let stats = b.last_stats.clone().expect("a served slot has stats");
+                if may_skip {
+                    skips += 1;
+                    assert_eq!(b.skip_streak, streak + 1, "reuse {on}, slot {t}");
+                    assert_eq!(stats.nodes, 0, "reuse {on}, slot {t}: the skip searched");
+                    assert_eq!(
+                        stats.gap.is_finite(),
+                        !on,
+                        "reuse {on}, slot {t}: gap {}",
+                        stats.gap
+                    );
+                } else {
+                    assert_eq!(b.skip_streak, 0, "reuse {on}, slot {t}");
+                    assert!(stats.nodes > 0, "reuse {on}, slot {t}: no search");
+                    assert_eq!(b.heuristic_regime, stats.degraded);
+                }
+                prev = Some(s);
+            }
+            assert!(skips > 0, "reuse {on}: no slot skipped");
         }
     }
 

@@ -48,10 +48,11 @@ fn make_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
     }
 }
 
-/// BIRP variants with temporal reuse off: no warm-start install and no
-/// skip, but the persistent slot model still refreshes every slot, so the
-/// checkpoint carries its slot inputs. BIRP comes through the
-/// `with_shards` shim, as the end-to-end fleet benchmark builds it.
+/// BIRP variants with temporal reuse off: no warm-start install, and a
+/// degraded-regime skip serves the guide packing, while the persistent slot
+/// model still refreshes every slot, so the checkpoint carries its slot
+/// inputs. BIRP comes through the `with_shards` shim, as the end-to-end
+/// fleet benchmark builds it.
 fn reuse_off_scheduler(catalog: &Catalog, which: usize) -> Box<dyn Scheduler> {
     match which {
         0 => Box::new(
@@ -74,6 +75,48 @@ fn config(resilience: bool) -> RunConfig {
         resilience: resilience.then(HealthConfig::default),
         ..RunConfig::default()
     }
+}
+
+/// Delegating wrapper that records the scheduler state after every decide.
+struct StateLog {
+    inner: Box<dyn Scheduler>,
+    states: Vec<Value>,
+}
+
+impl Scheduler for StateLog {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn decide(
+        &mut self,
+        t: usize,
+        demand: &birp_core::DemandMatrix,
+        prev: Option<&Schedule>,
+    ) -> Schedule {
+        let s = self.inner.decide(t, demand, prev);
+        self.states.push(self.inner.export_state());
+        s
+    }
+    fn observe(&mut self, outcome: &SlotOutcome) {
+        self.inner.observe(outcome);
+    }
+    fn set_edge_mask(&mut self, mask: Option<&[bool]>) {
+        self.inner.set_edge_mask(mask);
+    }
+    fn export_state(&self) -> Value {
+        self.inner.export_state()
+    }
+    fn import_state(&mut self, state: &Value) -> Result<(), DeError> {
+        self.inner.import_state(state)
+    }
+}
+
+/// The skip streak a BIRP scheduler state carries.
+fn skip_streak(state: &Value) -> u64 {
+    state
+        .get("skip_streak")
+        .and_then(Value::as_u64)
+        .expect("BIRP state carries skip_streak")
 }
 
 /// Delegating wrapper that raises the shutdown flag while deciding slot
@@ -253,10 +296,13 @@ proptest! {
         prop_assert_eq!(result_json(&baseline), result_json(&resumed));
     }
 
-    /// Reuse-off kill–resume: the decide path the fleet runs, where every
-    /// slot is a full solve without a reuse incumbent. The scheduler state
-    /// across a kill is the tuner, the dive gate, the mask and the slot
-    /// model's inputs.
+    /// Reuse-off kill–resume: the decide path the fleet runs, full solves
+    /// without a reuse incumbent and, after each degraded one, skips that
+    /// serve the guide packing. Beside the drawn kill point, each case also
+    /// kills after a skip that the next slot continues, so a skip streak
+    /// and the degraded-regime flag cross that kill. The rest of the
+    /// scheduler state across a kill is the tuner, the dive gate, the mask
+    /// and the slot model's inputs.
     #[test]
     fn kill_resume_reuse_off_is_bitwise_equivalent(
         kill_at in 0..SLOTS - 1,
@@ -266,20 +312,33 @@ proptest! {
         let resilience = resilience_bit == 1;
         let (catalog, trace) = setup();
         let cfg = config(resilience);
-        let baseline = run_scheduler(
-            &catalog, &trace, reuse_off_scheduler(&catalog, which).as_mut(), &cfg,
-        );
+        let mut log = StateLog { inner: reuse_off_scheduler(&catalog, which), states: Vec::new() };
+        let baseline = result_json(&run_scheduler(&catalog, &trace, &mut log, &cfg));
+        let mid_streak: Vec<usize> = (0..SLOTS - 1)
+            .filter(|&t| skip_streak(&log.states[t]) >= 1 && skip_streak(&log.states[t + 1]) >= 2)
+            .collect();
+        prop_assert!(!mid_streak.is_empty(), "the reuse-off run never continued a skip streak");
+        let in_streak = mid_streak[kill_at % mid_streak.len()];
         let mk = |c: &Catalog| reuse_off_scheduler(c, which);
-        let ck = killed(
-            &catalog, &trace, &cfg, &mk, kill_at,
-            &format!("reuse-off-{which}-{kill_at}-{resilience}"),
-        );
-        prop_assert!(
-            ck.scheduler_state.get("slot_inputs").is_some_and(|v| !v.is_null()),
-            "reuse-off checkpoint carries no slot inputs"
-        );
-        let resumed = resumed(&catalog, &trace, &cfg, &mk, ck);
-        prop_assert_eq!(result_json(&baseline), result_json(&resumed));
+        for at in [kill_at, in_streak] {
+            let ck = killed(
+                &catalog, &trace, &cfg, &mk, at,
+                &format!("reuse-off-{which}-{at}-{resilience}"),
+            );
+            prop_assert!(
+                ck.scheduler_state.get("slot_inputs").is_some_and(|v| !v.is_null()),
+                "reuse-off checkpoint carries no slot inputs"
+            );
+            if at == in_streak {
+                prop_assert!(skip_streak(&ck.scheduler_state) >= 1);
+                prop_assert_eq!(
+                    ck.scheduler_state.get("heuristic_regime"),
+                    Some(&Value::Bool(true))
+                );
+            }
+            let resumed = resumed(&catalog, &trace, &cfg, &mk, ck);
+            prop_assert_eq!(&baseline, &result_json(&resumed), "kill at {}", at);
+        }
     }
 
     /// Corruption fuzz: arbitrary byte flips and truncations of a valid
@@ -570,8 +629,9 @@ fn kill_resume_with_the_dive_gate_closed_is_bitwise_equivalent() {
 /// the guide LP's basis (DESIGN.md §3). The basis is derived state and is
 /// never checkpointed: the resumed scheduler re-lowers the slot model from
 /// its inputs and the next refresh solves the guide again, so every kill
-/// point must resume bitwise, with temporal reuse on (skip-path slots
-/// between full solves) and off (a full solve every slot).
+/// point must resume bitwise, with temporal reuse on (lean skip-path
+/// slots between full solves) and off (skip-path slots that solve the
+/// guide LP and serve its packing between full solves).
 #[test]
 fn kill_resume_large_scale_guide_basis_is_bitwise_equivalent() {
     let catalog = Catalog::large_scale(42);

@@ -31,6 +31,11 @@ fn field<'a>(fields: &'a [(&'static str, Value)], key: &str) -> &'a Value {
 /// Two full-solve slots of a 12-edge fleet under the scheduling solver,
 /// each inside a root span, traced at the level that adds per-wave and
 /// per-node spans. Returns the sorted span shapes.
+///
+/// Slot 0's solve ends degraded, so slot 1 would take the heuristic-regime
+/// skip and run no branch and bound. A quarantine-mask change ends that
+/// regime (DESIGN.md §11), so slot 1 quarantines the last edge, which has
+/// no demand then, and runs a full solve too.
 fn traced_decides() -> Vec<Shape> {
     let catalog = Catalog::fleet_scale(42, 12);
     let mut birp = Birp::new(catalog.clone(), MabConfig::paper_preset())
@@ -40,6 +45,11 @@ fn traced_decides() -> Vec<Shape> {
     telemetry::init(sink.clone(), Level::Trace);
     let mut prev = None;
     for t in 0..2 {
+        if t == 1 {
+            let mut mask = vec![false; catalog.num_edges()];
+            mask[catalog.num_edges() - 1] = true;
+            birp.set_edge_mask(Some(&mask));
+        }
         let mut demand = DemandMatrix::zeros(catalog.num_apps(), catalog.num_edges());
         demand.set(AppId(0), EdgeId(0), 30 + 5 * t as u32);
         for k in 1..catalog.num_edges() {
@@ -47,6 +57,8 @@ fn traced_decides() -> Vec<Shape> {
         }
         let _decide = telemetry::span("test.decide");
         prev = Some(birp.decide(t, &demand, prev.as_ref()));
+        let nodes = birp.last_stats.as_ref().map_or(0, |s| s.nodes);
+        assert!(nodes > 0, "slot {t} ran no branch and bound");
     }
     telemetry::shutdown();
     let mut shapes: Vec<Shape> = sink

@@ -51,7 +51,7 @@ pub mod simplex;
 pub use error::SolverError;
 pub use expr::{LinExpr, VarId, VarKind};
 pub use lp::{LpProblem, LpSolution, LpStatus};
-pub use milp::{MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig, WarmStart};
+pub use milp::{BudgetHit, MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig, WarmStart};
 pub use model::{Model, ModelStatus, RowId, Solution};
 pub use presolve::{presolve, PresolveStatus, Reduction};
 pub use simplex::{EngineSnapshot, SimplexEngine, SimplexOptions};

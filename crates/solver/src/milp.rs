@@ -124,11 +124,30 @@ impl SolverConfig {
         }
     }
 
-    /// True when `nodes` solved LPs or `pivots` spent pivots exhaust the
-    /// budget.
-    fn exhausted(&self, nodes: usize, pivots: u64) -> bool {
-        nodes >= self.node_limit || self.max_pivots.is_some_and(|cap| pivots >= cap)
+    /// Which budget `nodes` solved LPs or `pivots` spent pivots exhaust;
+    /// the node limit wins when both do.
+    fn exhausted(&self, nodes: usize, pivots: u64) -> BudgetHit {
+        if nodes >= self.node_limit {
+            BudgetHit::Nodes
+        } else if self.max_pivots.is_some_and(|cap| pivots >= cap) {
+            BudgetHit::Pivots
+        } else {
+            BudgetHit::None
+        }
     }
+}
+
+/// Which budget of [`SolverConfig`] truncated a search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BudgetHit {
+    /// No budget truncated the search: it closed its gap, emptied its
+    /// frontier or stopped on an infeasible or unbounded relaxation.
+    #[default]
+    None,
+    /// [`SolverConfig::node_limit`] ran out.
+    Nodes,
+    /// [`SolverConfig::max_pivots`] ran out.
+    Pivots,
 }
 
 /// Outcome classification of a MILP solve.
@@ -173,6 +192,9 @@ pub struct MilpResult {
     /// The search stopped on its node or pivot budget before proving
     /// optimality — the incumbent (if any) is best-effort.
     pub degraded: bool,
+    /// The budget that truncated a degraded search; [`BudgetHit::None`]
+    /// exactly when `degraded` is false.
+    pub budget: BudgetHit,
     /// Incumbent trajectory: one `(nodes_solved, objective, gap)` point per
     /// incumbent installed, in installation order. The gap series is the
     /// solve's convergence signature, surfaced per slot by the decision
@@ -352,7 +374,6 @@ pub fn branch_and_bound(
     let _solve_span = telemetry::span("solver.solve");
     telemetry::counter("solver.solves", 1);
     let mut pivots_total = 0u64;
-    let mut budget_hit = false;
     // Presolve never removes columns, so indices and solutions line up with
     // the caller's problem; it only tightens bounds and drops rows, which
     // shrinks every node LP.
@@ -385,6 +406,7 @@ pub fn branch_and_bound(
                 gap: 0.0,
                 nodes: 0,
                 degraded: false,
+                budget: BudgetHit::None,
                 incumbents: Vec::new(),
                 root_dive: RootDive::NotRun,
                 root_restored: false,
@@ -475,6 +497,7 @@ pub fn branch_and_bound(
                 gap: 0.0,
                 nodes: nodes_solved,
                 degraded: false,
+                budget: BudgetHit::None,
                 incumbents: traj,
                 root_dive,
                 root_restored,
@@ -489,6 +512,7 @@ pub fn branch_and_bound(
                 gap: 0.0,
                 nodes: nodes_solved,
                 degraded: false,
+                budget: BudgetHit::None,
                 incumbents: traj,
                 root_dive,
                 root_restored,
@@ -499,13 +523,13 @@ pub fn branch_and_bound(
     let root_bound = root_sol.objective;
 
     let (root_branch, _) = branch_var(&root_sol.x, &problem.integers, &root.lower, &root.upper);
+    let mut budget_hit;
     if let Some((j, v)) = root_branch {
-        if cfg.exhausted(nodes_solved, pivots_total) {
-            // Budget spent on the root alone: skip the dive (it is dozens
-            // of LP solves) and fall straight through to the report with
-            // whatever incumbent the warm start installed.
-            budget_hit = true;
-        } else if cfg.root_dive && !trust_dives_off {
+        // A budget spent on the root alone skips the dive (it is dozens of
+        // LP solves) and falls straight through to the report with
+        // whatever incumbent the warm start installed.
+        budget_hit = cfg.exhausted(nodes_solved, pivots_total);
+        if budget_hit == BudgetHit::None && cfg.root_dive && !trust_dives_off {
             let _dive_span = telemetry::span("solver.root_dive");
             telemetry::counter("solver.dive_attempts", 1);
             let cutoff = incumbent.as_ref().map_or(f64::INFINITY, |(o, _)| *o);
@@ -542,6 +566,7 @@ pub fn branch_and_bound(
             gap: 0.0,
             nodes: nodes_solved,
             degraded: false,
+            budget: BudgetHit::None,
             incumbents: traj,
             root_dive,
             root_restored,
@@ -552,9 +577,9 @@ pub fn branch_and_bound(
     // In-tree dives are expensive (a dive is dozens of LP solves); a few
     // well-placed ones capture nearly all their value.
     let mut tree_dives_left = if trust_dives_off { 0 } else { 3 };
-    'outer: while !budget_hit && !heap.is_empty() {
-        if cfg.exhausted(nodes_solved, pivots_total) {
-            budget_hit = true;
+    'outer: while budget_hit == BudgetHit::None && !heap.is_empty() {
+        budget_hit = cfg.exhausted(nodes_solved, pivots_total);
+        if budget_hit != BudgetHit::None {
             break;
         }
         // Prune against the incumbent, then pop a wave.
@@ -644,6 +669,7 @@ pub fn branch_and_bound(
                         gap: 0.0,
                         nodes: nodes_solved,
                         degraded: false,
+                        budget: BudgetHit::None,
                         incumbents: traj,
                         root_dive,
                         root_restored,
@@ -721,6 +747,7 @@ pub fn branch_and_bound(
             } else {
                 MilpStatus::Feasible
             };
+            let degraded = budget_hit != BudgetHit::None && status != MilpStatus::Optimal;
             MilpResult {
                 status,
                 objective: obj,
@@ -728,7 +755,12 @@ pub fn branch_and_bound(
                 bound,
                 gap,
                 nodes: nodes_solved,
-                degraded: budget_hit && status != MilpStatus::Optimal,
+                degraded,
+                budget: if degraded {
+                    budget_hit
+                } else {
+                    BudgetHit::None
+                },
                 incumbents: traj,
                 root_dive,
                 root_restored,
@@ -744,6 +776,7 @@ pub fn branch_and_bound(
                     gap: 0.0,
                     nodes: nodes_solved,
                     degraded: false,
+                    budget: BudgetHit::None,
                     incumbents: Vec::new(),
                     root_dive,
                     root_restored,
@@ -758,6 +791,7 @@ pub fn branch_and_bound(
                     gap: f64::INFINITY,
                     nodes: nodes_solved,
                     degraded: true,
+                    budget: budget_hit,
                     incumbents: Vec::new(),
                     root_dive,
                     root_restored,
@@ -964,6 +998,12 @@ mod tests {
             r.status,
             MilpStatus::Feasible | MilpStatus::Optimal
         ));
+        let expected = if r.degraded {
+            BudgetHit::Nodes
+        } else {
+            BudgetHit::None
+        };
+        assert_eq!(r.budget, expected);
         if r.status == MilpStatus::Feasible {
             assert!(r.objective.is_finite());
             assert!(p.lp.max_violation(&r.x) < 1e-6);
@@ -1007,6 +1047,26 @@ mod tests {
             assert!(p.lp.max_violation(&r.x) < 1e-6);
         }
         assert!(r.degraded);
+        assert_eq!(r.budget, BudgetHit::Pivots);
+    }
+
+    #[test]
+    fn budget_names_the_limit_that_stopped_the_search() {
+        let values: Vec<f64> = (1..=24).map(|i| (i as f64 * 7.3) % 13.0 + 1.0).collect();
+        let weights: Vec<f64> = (1..=24).map(|i| (i as f64 * 3.1) % 9.0 + 1.0).collect();
+        let p = knapsack(&values, &weights, 35.0);
+        let solve = |cfg: SolverConfig| branch_and_bound(&p, &cfg, WarmStart::default());
+        let open = solve(SolverConfig::default());
+        assert!(!open.degraded);
+        assert_eq!(open.budget, BudgetHit::None);
+        // Both limits spent on the root: the node limit is checked first.
+        let both = solve(SolverConfig {
+            node_limit: 1,
+            max_pivots: Some(1),
+            ..Default::default()
+        });
+        assert!(both.degraded);
+        assert_eq!(both.budget, BudgetHit::Nodes);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::error::SolverError;
 use crate::expr::{LinExpr, VarId, VarKind};
 use crate::lp::{LpProblem, LpSolution, LpStatus, RowCmp};
 use crate::milp::{
-    branch_and_bound, MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig, WarmStart,
+    branch_and_bound, BudgetHit, MilpProblem, MilpResult, MilpStatus, RootDive, SolverConfig,
+    WarmStart,
 };
 use crate::simplex::{with_engine, EngineSnapshot, SimplexOptions};
 
@@ -42,6 +43,9 @@ pub struct Solution {
     /// The solve budget ran out before the gap closed: the point is the best
     /// incumbent found, not a proven (near-)optimum.
     pub degraded: bool,
+    /// The budget that truncated a degraded solve (see
+    /// [`crate::milp::MilpResult::budget`]).
+    pub budget: BudgetHit,
     /// Incumbent trajectory `(nodes_solved, objective, gap)` in install
     /// order (see [`crate::milp::MilpResult::incumbents`]).
     pub incumbents: Vec<(u64, f64, f64)>,
@@ -414,6 +418,7 @@ impl Model {
                 gap: res.gap,
                 nodes: res.nodes,
                 degraded: res.degraded,
+                budget: res.budget,
                 incumbents: res.incumbents,
                 root_dive: res.root_dive,
                 root_restored: res.root_restored,
